@@ -61,9 +61,10 @@ class Network
 
     /**
      * Router steps actually executed since construction: routers x
-     * cycles on the generic kernel, fewer on the mask kernels, whose
-     * dormant routers are skipped. A deterministic work counter (the
-     * sharded path folds its per-shard counts in at window barriers).
+     * cycles on the generic kernel, fewer on the specialized kernels,
+     * whose dormant routers are skipped. A deterministic work counter
+     * (the sharded path folds its per-shard counts in at window
+     * barriers).
      */
     std::uint64_t routerSteps() const { return routerSteps_; }
 

@@ -8,9 +8,6 @@
 #define NOC_ROUTER_ARBITER_HPP
 
 #include <cstdint>
-#include <vector>
-
-#include "common/log.hpp"
 
 namespace noc {
 
@@ -22,9 +19,10 @@ lowestSetBit(std::uint64_t mask)
 }
 
 /**
- * Rotating-priority arbiter over `size` requesters. grant() scans from
- * the slot after the last winner, so service is fair and starvation-free
- * among persistent requesters.
+ * Rotating-priority arbiter over `size` ≤ 64 requesters, whose requests
+ * arrive as one bit mask. grant() scans from the slot after the last
+ * winner, so service is fair and starvation-free among persistent
+ * requesters.
  */
 class RoundRobinArbiter
 {
@@ -40,55 +38,32 @@ class RoundRobinArbiter
     int size() const { return size_; }
 
     /**
-     * Pick a winner among requesters (true entries). Returns the winning
-     * index and updates priority, or -1 if nothing is requested.
+     * Pick a winner among requesters: bit i set ⇔ requester i is
+     * requesting. The winner is the first requester after the last
+     * winner, wrapping — the lowest set bit above last_, else the lowest
+     * set bit overall. Updates priority and returns the winner, or -1
+     * (priority unchanged) if nothing is requested. Requires size ≤ 64.
      */
     int
-    grant(const std::vector<bool> &requests)
+    grant(std::uint64_t requests)
     {
-        NOC_ASSERT(static_cast<int>(requests.size()) == size_,
-                   "arbiter request vector size mismatch");
-        for (int i = 1; i <= size_; ++i) {
-            const int idx = (last_ + i) % size_;
-            if (requests[idx]) {
-                last_ = idx;
-                return idx;
-            }
-        }
-        return -1;
-    }
-
-    /**
-     * Mask form of grant(): bit i set ⇔ requester i is requesting.
-     * Identical winner and priority update to the vector form — the
-     * rotating scan "first set index after last_, wrapping" is "lowest
-     * set bit above last_, else lowest set bit overall". Requires
-     * size ≤ 64.
-     */
-    int
-    grantMask(std::uint64_t requests)
-    {
-        if (requests == 0)
-            return -1;
-        std::uint64_t above = last_ + 1 >= 64
-                                  ? 0
-                                  : requests >> (last_ + 1) << (last_ + 1);
-        const int idx =
-            above != 0 ? lowestSetBit(above) : lowestSetBit(requests);
-        last_ = idx;
+        const int idx = peek(requests);
+        if (idx >= 0)
+            last_ = idx;
         return idx;
     }
 
-    /** Peek without rotating priority (for diagnostics/tests). */
+    /** grant() without rotating priority (for diagnostics/tests). */
     int
-    peek(const std::vector<bool> &requests) const
+    peek(std::uint64_t requests) const
     {
-        for (int i = 1; i <= size_; ++i) {
-            const int idx = (last_ + i) % size_;
-            if (requests[idx])
-                return idx;
-        }
-        return -1;
+        if (requests == 0)
+            return -1;
+        const std::uint64_t above = last_ + 1 >= 64
+                                        ? 0
+                                        : requests >> (last_ + 1)
+                                              << (last_ + 1);
+        return above != 0 ? lowestSetBit(above) : lowestSetBit(requests);
     }
 
   private:

@@ -9,8 +9,7 @@
 namespace noc {
 
 const RouterOps *
-selectRouterOps(const SimConfig &cfg, const RoutingAlgorithm &routing,
-                int num_in, int num_out)
+selectRouterOps(const SimConfig &cfg, const RoutingAlgorithm &routing)
 {
     if (cfg.kernel != KernelChoice::Auto)
         return nullptr;
@@ -21,10 +20,6 @@ selectRouterOps(const SimConfig &cfg, const RoutingAlgorithm &routing,
         cfg.dropCreditEvery != 0)
         return nullptr;
     if (cfg.scheme == Scheme::Evc)
-        return nullptr;
-    // Mask-kernel bounds: VC occupancy in one uint64, per-input VC
-    // requests in one uint32, per-output input candidates in one uint64.
-    if (cfg.numVcs > 16 || num_in * cfg.numVcs > 64 || num_out > 64)
         return nullptr;
 
     const std::type_info &t = typeid(routing);

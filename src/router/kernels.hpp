@@ -11,11 +11,12 @@
  *   o1turn              ✓       ✓       ✓        ✓        ✓        —
  *   torus-dor           ✓       ✓       ✓        ✓        ✓        —
  *
- * mesh-dor covers Mesh and CMesh (same Mesh routing class). Everything
- * else — EVC, MECS, FBFLY, fault plans, oversized port/VC counts,
- * kernel=generic — falls back to the generic kernel. Selection is by
- * exact dynamic type (typeid), so wrapped routings (e.g. the fault
- * layer's perturbed routing) automatically miss and stay generic.
+ * mesh-dor covers Mesh and CMesh (same Mesh routing class), at any VC
+ * count the router supports. Everything else — EVC, MECS, FBFLY, fault
+ * and churn plans, kernel=generic — falls back to the generic kernel.
+ * Selection is by exact dynamic type (typeid), so wrapped routings (e.g.
+ * the fault layer's perturbed routing) automatically miss and stay
+ * generic.
  */
 
 #ifndef NOC_ROUTER_KERNELS_HPP
@@ -35,13 +36,11 @@ const RouterOps *o1turnKernel(Scheme scheme);
 const RouterOps *torusDorKernel(Scheme scheme);
 
 /**
- * Select the specialized kernel for one router, or nullptr if the
- * configuration must run generic. `num_in`/`num_out` are this router's
- * port counts (the mask kernels bound them).
+ * Select the specialized kernel for a configuration, or nullptr if it
+ * must run generic. The choice is the same for every router.
  */
 const RouterOps *selectRouterOps(const SimConfig &cfg,
-                                 const RoutingAlgorithm &routing,
-                                 int num_in, int num_out);
+                                 const RoutingAlgorithm &routing);
 
 } // namespace noc
 

@@ -14,11 +14,24 @@ namespace {
 /** Kernel selection at construction: a specialized kernel when the
  *  factory has one for this configuration, else the generic one. */
 const RouterOps &
-chooseOps(const SimConfig &cfg, const RoutingAlgorithm &routing,
-          int num_in, int num_out)
+chooseOps(const SimConfig &cfg, const RoutingAlgorithm &routing)
 {
-    const RouterOps *ops = selectRouterOps(cfg, routing, num_in, num_out);
+    const RouterOps *ops = selectRouterOps(cfg, routing);
     return ops != nullptr ? *ops : routerOpsFor<GenericPolicy>();
+}
+
+/** Every VC set, port set and crossbar-use set of a router is one
+ *  uint64 mask word. */
+constexpr int kMaxMaskBits = 64;
+
+void
+checkMaskLimit(RouterId id, const char *what, int count)
+{
+    if (count > kMaxMaskBits)
+        NOC_FATAL("router " + std::to_string(id) + ": " +
+                  std::to_string(count) + " " + what +
+                  " exceed the limit of " + std::to_string(kMaxMaskBits) +
+                  " " + what);
 }
 
 } // namespace
@@ -26,8 +39,7 @@ chooseOps(const SimConfig &cfg, const RoutingAlgorithm &routing,
 Router::Router(const SimConfig &cfg, const Topology &topo,
                const RoutingAlgorithm &routing, RouterId id)
     : cfg_(cfg), topo_(topo), routing_(routing), id_(id),
-      ops_(&chooseOps(cfg, routing, topo.numInputPorts(id),
-                      topo.numOutputPorts(id))),
+      ops_(&chooseOps(cfg, routing)),
       pc_(topo.numInputPorts(id), topo.numOutputPorts(id),
           cfg.pcHistoryDepth),
       va_(cfg.vaPolicy),
@@ -35,6 +47,9 @@ Router::Router(const SimConfig &cfg, const Topology &topo,
 {
     const int num_in = topo.numInputPorts(id);
     const int num_out = topo.numOutputPorts(id);
+    checkMaskLimit(id, "VCs per port", cfg.numVcs);
+    checkMaskLimit(id, "input ports", num_in);
+    checkMaskLimit(id, "output ports", num_out);
 
     inputs_.reserve(num_in);
     for (int p = 0; p < num_in; ++p)
@@ -64,8 +79,7 @@ Router::Router(const SimConfig &cfg, const Topology &topo,
     pendingGrants_.reserve(num_out);
     bypassLatch_.resize(num_in);
     expressLatch_.resize(num_in);
-    usedIn_.assign(num_in, false);
-    usedOut_.assign(num_out, false);
+    occ_.assign(num_in, 0);
     lastOutPort_.assign(num_in, kInvalidPort);
 }
 
@@ -176,8 +190,8 @@ Router::speculate(Cycle now)
 void
 Router::traverseExpress(PortId in_port, Flit flit, Cycle now)
 {
-    usedIn_[in_port] = true;
-    usedOut_[flit.route.outPort] = true;
+    usedIn_ |= 1ull << in_port;
+    usedOut_ |= 1ull << flit.route.outPort;
     ++stats_.xbarTraversals;
     emitTelem(TelemetryEventClass::SwitchTraverse, now, in_port, flit.vc);
     ++stats_.expressBypasses;

@@ -23,9 +23,10 @@
  * templates over a *policy* type (router_pipeline.hpp) that decides, at
  * compile time where possible, which scheme features are live and how
  * routing is invoked. One policy — GenericPolicy — resolves everything
- * at runtime exactly like the historical code; the FastPolicy family
- * folds the scheme to constants, devirtualizes routing, and iterates
- * VC occupancy as bit masks. A per-configuration RouterOps function
+ * at runtime; the FastPolicy family folds the scheme to constants,
+ * devirtualizes routing and lets idle routers sleep. Every policy walks
+ * VC occupancy as bit masks, so a router holds at most 64 VCs, 64 input
+ * ports and 64 output ports. A per-configuration RouterOps function
  * table, selected once at construction (router/kernels.hpp), binds the
  * public deliverFlit()/step() entry points to one instantiation. All
  * router *state* is shared between kernels — introspection (verify,
@@ -153,7 +154,7 @@ class Router
      * True while the router sits at a fixed point of step(): its last
      * step left nothing buffered, latched, granted or sent and changed
      * no pseudo-circuit register, so every further step is a no-op
-     * until an input arrives. Only the mask kernels ever go dormant;
+     * until an input arrives. Only the specialized kernels ever go dormant;
      * every mutator (flit, credit, teardown) wakes the router, and the
      * Network skips dormant routers' steps. See docs/architecture.md,
      * "Dormant routers".
@@ -284,9 +285,16 @@ class Router
                                          VcId out_vc, bool express_out,
                                          bool from_buffer, Cycle now);
 
-    /** Dequeue the front flit of a VC, maintaining the occupancy mask
-     *  for mask-iterating kernels. */
-    template <typename P> Flit dequeueTrackedT(PortId in_port, VcId in_vc);
+    /** Dequeue the front flit of a VC, maintaining the occupancy
+     *  masks. */
+    Flit dequeueTracked(PortId in_port, VcId in_vc)
+    {
+        InputVc &vc = inputs_[in_port].vc(in_vc);
+        const Flit flit = vc.dequeue();
+        if (vc.empty() && (occ_[in_port] &= ~(1ull << in_vc)) == 0)
+            occPorts_ &= ~(1ull << in_port);
+        return flit;
+    }
 
     /** Non-speculative SA grant bookkeeping shared by both SA stages. */
     template <typename P> void processSaGrantT(const SaGrant &g,
@@ -346,16 +354,17 @@ class Router
     std::vector<SaGrant> pendingGrants_;          ///< execute next cycle
     std::vector<std::optional<Flit>> bypassLatch_;  ///< per input port
     std::vector<std::optional<Flit>> expressLatch_; ///< per input port
-    std::vector<bool> usedIn_;
-    std::vector<bool> usedOut_;
+    std::uint64_t usedIn_ = 0;   ///< crossbar inputs taken this cycle
+    std::uint64_t usedOut_ = 0;  ///< crossbar outputs taken this cycle
     int vaRotate_ = 0;
 
-    /// Bit (in_port * numVcs + vc) set ⇔ that VC's FIFO is non-empty.
-    /// Maintained (and meaningful) only under mask-iterating kernels,
-    /// which require numInputPorts * numVcs ≤ 64.
-    std::uint64_t occMask_ = 0;
+    /// VC occupancy, the candidate set of every VA and SA loop: bit vc
+    /// of occ_[in_port] is set ⇔ that VC's FIFO is non-empty, and bit
+    /// in_port of occPorts_ ⇔ occ_[in_port] != 0.
+    std::vector<std::uint64_t> occ_;
+    std::uint64_t occPorts_ = 0;
 
-    /// Dormancy (mask kernels only): set by a step that ended at a
+    /// Dormancy (specialized kernels only): set by a step that ended at a
     /// fixed point, cleared by every mutator. sleptAt_ is the cycle of
     /// that step until the next executed step catches up vaRotate_.
     bool dormant_ = false;

@@ -8,31 +8,30 @@
  * router/kernels_*.cpp files for the specialized ones); everything else
  * uses router.hpp.
  *
- * Two policy families:
+ * Every policy runs the same allocation code: VA and SA walk the VC
+ * occupancy masks (one uint64 per input port plus a port summary), so a
+ * router holds at most 64 VCs, 64 input ports and 64 output ports
+ * (fatal past that, router.cpp). The policies differ only in what they
+ * decide at compile time:
  *
  *  - GenericPolicy resolves every decision at runtime: scheme
- *    predicates read the config, routing goes through the virtual
- *    RoutingAlgorithm interface, and the allocation loops iterate all
- *    (port, vc) pairs. This reproduces the historical router behaviour
- *    exactly and handles every configuration (EVC, MECS, FBFLY, fault
- *    plans, any port/VC count).
+ *    predicates read the config and routing goes through the virtual
+ *    RoutingAlgorithm interface. It handles every configuration (EVC,
+ *    MECS, FBFLY, fault and churn plans) and never goes dormant, which
+ *    makes it the parity reference.
  *
  *  - FastPolicy<Scheme, RoutePolicy> folds the scheme to compile-time
  *    constants (dead feature code is removed by `if constexpr` /
  *    constant propagation), devirtualizes routing through an inlined
- *    route policy (routing/policies.hpp), and walks VC occupancy and
- *    switch-allocation candidates as bit masks. Requires
- *    numInputPorts * numVcs ≤ 64, numVcs ≤ 16, numOutputPorts ≤ 64,
- *    no EVC, no fault layer (enforced by the kernel factory,
- *    router/kernels.hpp).
+ *    route policy (routing/policies.hpp), and lets idle routers go
+ *    dormant (kSpecialized). No EVC, no fault layer (enforced by the
+ *    kernel factory, router/kernels.hpp).
  *
  * Parity contract: for any sequence of deliverFlit/deliverCredit/step
  * calls, every policy produces identical router state, stats,
  * telemetry events (same order), verifier callbacks and sent
- * flits/credits. The mask loops visit candidates in provably the same
- * order as the generic loops (see the comments at each loop), and the
- * mask arbiter entry points drive the same rotating-priority state as
- * the vector forms.
+ * flits/credits, except that a dormant specialized router skips steps
+ * that would change nothing but the VA rotation (caught up on wake).
  */
 
 #ifndef NOC_ROUTER_ROUTER_PIPELINE_HPP
@@ -66,7 +65,6 @@ schemeSlug(Scheme s)
 /** The runtime-dispatched kernel policy (see file comment). */
 struct GenericPolicy
 {
-    static constexpr bool kMasks = false;
     static constexpr bool kEvcPossible = true;
     static constexpr bool kSpecialized = false;
 
@@ -94,7 +92,6 @@ struct GenericPolicy
 template <Scheme S, typename RP>
 struct FastPolicy
 {
-    static constexpr bool kMasks = true;
     static constexpr bool kEvcPossible = false;
     static constexpr bool kSpecialized = true;
 
@@ -176,8 +173,7 @@ template <typename P>
 void
 Router::deliverFlitT(PortId in_port, const Flit &flit, Cycle now)
 {
-    if constexpr (P::kMasks)
-        dormant_ = false;
+    dormant_ = false;
     ++stats_.flitsArrived;
     NOC_ASSERT(flit.vc >= 0 && flit.vc < cfg_.numVcs, "flit VC out of range");
 
@@ -194,8 +190,8 @@ Router::deliverFlitT(PortId in_port, const Flit &flit, Cycle now)
 
     InputVc &vc = inputs_[in_port].vc(flit.vc);
     vc.enqueue(flit, now + 1, cfg_.bufferDepth);   // BW occupies this cycle
-    if constexpr (P::kMasks)
-        occMask_ |= 1ull << (in_port * cfg_.numVcs + flit.vc);
+    occ_[in_port] |= 1ull << flit.vc;
+    occPorts_ |= 1ull << in_port;
     ++stats_.bufferWrites;
     emitTelem(TelemetryEventClass::BufferWrite, now, in_port, flit.vc);
 }
@@ -258,36 +254,24 @@ Router::tryBufferBypassT(PortId in_port, const Flit &flit, Cycle now)
     return true;
 }
 
-template <typename P>
-Flit
-Router::dequeueTrackedT(PortId in_port, VcId in_vc)
-{
-    InputVc &vc = inputs_[in_port].vc(in_vc);
-    const Flit flit = vc.dequeue();
-    if constexpr (P::kMasks) {
-        if (vc.empty())
-            occMask_ &= ~(1ull << (in_port * cfg_.numVcs + in_vc));
-    }
-    return flit;
-}
-
 /**
- * One router cycle. Mask kernels also decide dormancy here: a step that
- * ends with no buffered flit (occMask_ == 0; latches always drain within
- * the step), no pending grant, nothing sent and no pseudo-circuit
- * register changed has left every piece of state that step() reads
- * unchanged except vaRotate_. The next step therefore repeats it
- * exactly — credit-termination and speculation scans find the same
- * nothing — until a mutator wakes the router, so the Network may skip
- * it, and the first executed step catches vaRotate_ up. The generic
- * kernel carries none of this bookkeeping and never sleeps.
+ * One router cycle. Specialized kernels also decide dormancy here: a
+ * step that ends with no buffered flit (occPorts_ == 0; latches always
+ * drain within the step), no pending grant, nothing sent and no
+ * pseudo-circuit register changed has left every piece of state that
+ * step() reads unchanged except vaRotate_. The next step therefore
+ * repeats it exactly — credit-termination and speculation scans find
+ * the same nothing — until a mutator wakes the router, so the Network
+ * may skip it, and the first executed step catches vaRotate_ up. The
+ * generic kernel carries none of this bookkeeping and never sleeps, so
+ * it stays the non-sleeping parity reference.
  */
 template <typename P>
 void
 Router::stepT(Cycle now)
 {
     [[maybe_unused]] std::uint64_t pc_changes = 0;
-    if constexpr (P::kMasks) {
+    if constexpr (P::kSpecialized) {
         if (sleptAt_ != kNeverCycle)
             wakeCatchUp(now);
         pc_changes = pc_.stats().registerChanges();
@@ -302,8 +286,8 @@ Router::stepT(Cycle now)
         switchPhaseT<P>(now);
     }
     allocationPhaseT<P>(now);
-    if constexpr (P::kMasks) {
-        if (occMask_ == 0 && pendingGrants_.empty() && sentFlits.empty() &&
+    if constexpr (P::kSpecialized) {
+        if (occPorts_ == 0 && pendingGrants_.empty() && sentFlits.empty() &&
             sentCredits.empty() &&
             pc_.stats().registerChanges() == pc_changes) {
             dormant_ = true;
@@ -316,8 +300,8 @@ template <typename P>
 void
 Router::switchPhaseT(Cycle now)
 {
-    usedIn_.assign(usedIn_.size(), false);
-    usedOut_.assign(usedOut_.size(), false);
+    usedIn_ = 0;
+    usedOut_ = 0;
 
     // 1. EVC express latches — highest priority, preempting local grants.
     if constexpr (P::kEvcPossible) {
@@ -326,7 +310,7 @@ Router::switchPhaseT(Cycle now)
                 continue;
             Flit flit = *expressLatch_[in];
             expressLatch_[in].reset();
-            NOC_ASSERT(!usedIn_[in] && !usedOut_[flit.route.outPort],
+            NOC_ASSERT(!((usedIn_ >> in | usedOut_ >> flit.route.outPort) & 1),
                        "express flits collided in the crossbar");
             traverseExpress(in, flit, now);
         }
@@ -334,7 +318,7 @@ Router::switchPhaseT(Cycle now)
 
     // 2. Switch grants from last cycle's allocation.
     for (const SaGrant &g : pendingGrants_) {
-        if (usedIn_[g.inPort] || usedOut_[g.outPort]) {
+        if ((usedIn_ >> g.inPort | usedOut_ >> g.outPort) & 1) {
             ++stats_.wastedGrants;   // preempted by an express flit
             continue;
         }
@@ -346,7 +330,7 @@ Router::switchPhaseT(Cycle now)
         NOC_ASSERT(route.outPort == g.outPort, "grant/route mismatch");
         const VcId out_vc = vc.outVc();
         const bool express_out = vc.outVcExpress();
-        const Flit flit = dequeueTrackedT<P>(g.inPort, g.inVc);
+        const Flit flit = dequeueTracked(g.inPort, g.inVc);
         traverseT<P>(g.inPort, flit, route, out_vc, express_out,
                      /*from_buffer=*/true, now);
     }
@@ -362,7 +346,7 @@ Router::switchPhaseT(Cycle now)
         NOC_ASSERT(vc.state() == InputVc::State::Active,
                    "latched flit on an inactive VC");
         const RouteDecision route = vc.route();
-        NOC_ASSERT(!usedIn_[in] && !usedOut_[route.outPort],
+        NOC_ASSERT(!((usedIn_ >> in | usedOut_ >> route.outPort) & 1),
                    "bypass latch lost its crossbar slot");
         const VcId out_vc = vc.outVc();
         vc.noteBypassedFlit(flit);
@@ -383,7 +367,7 @@ Router::switchPhaseT(Cycle now)
         const PseudoCircuitUnit::Register &reg = pc_.at(in);
         if (!reg.valid)
             continue;
-        if (usedIn_[in] || usedOut_[reg.route.outPort])
+        if ((usedIn_ >> in | usedOut_ >> reg.route.outPort) & 1)
             continue;
         InputVc &vc = inputs_[in].vc(reg.inVc);
         if (!vc.frontReady(now))
@@ -422,7 +406,7 @@ Router::switchPhaseT(Cycle now)
         }
 
         const RouteDecision route = vc.route();
-        const Flit flit = dequeueTrackedT<P>(in, reg.inVc);
+        const Flit flit = dequeueTracked(in, reg.inVc);
         ++stats_.saBypasses;
         pc_.noteReuse(in, /*via_latch=*/false, now);
         NOC_VCHK(vchk_, onPcReuse(id_, in, reg.inVc, route, flit,
@@ -471,50 +455,39 @@ template <typename P>
 void
 Router::vaPhaseT(Cycle now)
 {
-    const int num_in = numInputPorts();
     const int num_vcs = cfg_.numVcs;
-    const int total = num_in * num_vcs;
+    const int total = numInputPorts() * num_vcs;
 
     // --- VA, in rotating (in, vc) order for fairness ---
     vaRotate_ = total > 0 ? (vaRotate_ + 1) % total : 0;
-    if constexpr (P::kMasks) {
-        // Same visitation as the generic "(vaRotate_ + k) % total" loop:
-        // occupied indices ≥ vaRotate_ ascending, then the wrapped ones
-        // < vaRotate_ ascending. Empty VCs cannot pass the frontReady
-        // check, so skipping them is invisible. Bits are decoded per
-        // input port (sub-mask shift per port, ctz per bit) instead of
-        // dividing every set bit by num_vcs — an integer division per
-        // occupied VC is the single hottest instruction of the phase.
-        std::uint64_t m = occMask_ >> vaRotate_ << vaRotate_;
-        for (int pass = 0; pass < 2; ++pass) {
-            int base = 0;
-            for (PortId in = 0; in < num_in; ++in, base += num_vcs) {
-                const std::uint64_t above = m >> base;
-                if (above == 0)
-                    break;   // no occupied VC at this port or any later one
-                std::uint64_t sub = above & ((1ull << num_vcs) - 1);
-                while (sub != 0) {
-                    const VcId v = lowestSetBit(sub);
-                    sub &= sub - 1;
-                    InputVc &vc = inputs_[in].vc(v);
-                    if (vc.state() == InputVc::State::WaitingVa &&
-                        vc.frontReady(now))
-                        doVaT<P>(in, v, now);
-                }
-            }
-            m = occMask_ & ((1ull << vaRotate_) - 1);
-        }
-    } else {
-        for (int k = 0; k < total; ++k) {
-            const int idx = (vaRotate_ + k) % total;
-            const PortId in = idx / num_vcs;
-            const VcId v = idx % num_vcs;
+    if (occPorts_ == 0)
+        return;
+    // The scan "(vaRotate_ + k) % total, k = 0..total-1" over slots
+    // in * num_vcs + vc, restricted to occupied VCs (empty ones cannot
+    // pass frontReady, so skipping them is invisible): the start port's
+    // VCs from the start VC up, every later port, every earlier port,
+    // then the start port's VCs below the start VC.
+    const PortId p0 = vaRotate_ / num_vcs;
+    const std::uint64_t low = (1ull << (vaRotate_ % num_vcs)) - 1;
+    const auto visit = [&](PortId in, std::uint64_t vcs) {
+        for (; vcs != 0; vcs &= vcs - 1) {
+            const VcId v = lowestSetBit(vcs);
             InputVc &vc = inputs_[in].vc(v);
             if (vc.state() == InputVc::State::WaitingVa &&
                 vc.frontReady(now))
                 doVaT<P>(in, v, now);
         }
+    };
+    visit(p0, occ_[p0] & ~low);
+    const std::uint64_t later = occPorts_ & ~((2ull << p0) - 1);
+    const std::uint64_t earlier = occPorts_ & ((1ull << p0) - 1);
+    for (std::uint64_t m : {later, earlier}) {
+        for (; m != 0; m &= m - 1) {
+            const PortId in = lowestSetBit(m);
+            visit(in, occ_[in]);
+        }
     }
+    visit(p0, occ_[p0] & low);
 }
 
 /** The SA half of the allocation phase: speculative switch allocation,
@@ -523,131 +496,38 @@ template <typename P>
 void
 Router::saPhaseT(Cycle now)
 {
-    const int num_in = numInputPorts();
-    const int num_vcs = cfg_.numVcs;
-
     // --- speculative SA ---
-    if constexpr (P::kMasks) {
-        // Request collection in ascending (in, vc) order — identical to
-        // the generic double loop over the same candidates (VCs with an
-        // empty FIFO never pass frontReady and have no side effects).
-        std::uint64_t req_mask = 0;
-        std::uint64_t spec_mask = 0;
-        PortId req_out[64];
-        int req_base = 0;
-        for (PortId in = 0; in < num_in; ++in, req_base += num_vcs) {
-            const std::uint64_t above = occMask_ >> req_base;
-            if (above == 0)
-                break;   // no occupied VC at this port or any later one
-            std::uint64_t sub = above & ((1ull << num_vcs) - 1);
-            while (sub != 0) {
-                const VcId v = lowestSetBit(sub);
-                sub &= sub - 1;
-                const int idx = req_base + v;
-                const InputVc &vc = inputs_[in].vc(v);
-                if (!vc.frontReady(now))
-                    continue;
-                if (willUseCircuitT<P>(in, v))
-                    continue;
-                if (vc.state() == InputVc::State::Active) {
-                    const RouteDecision &r = vc.route();
-                    const int credits = vc.outVcExpress()
-                        ? outputs_[r.outPort].expressVc(vc.outVc()).credits
-                        : outputs_[r.outPort].vc(r.drop, vc.outVc()).credits;
-                    if (credits <= 0) {
-                        // SA arbitrates on credit availability
-                        emitTelem(TelemetryEventClass::CreditStall, now, in,
-                                  v);
-                        continue;
-                    }
-                    req_mask |= 1ull << idx;
-                    req_out[idx] = r.outPort;
-                } else if (vc.state() == InputVc::State::WaitingVa) {
-                    // Head whose VA just failed: speculative request.
-                    req_mask |= 1ull << idx;
-                    spec_mask |= 1ull << idx;
-                    req_out[idx] = vc.route().outPort;
-                }
+    const auto request = [&](PortId in, VcId v, bool &speculative) {
+        const InputVc &vc = inputs_[in].vc(v);
+        if (!vc.frontReady(now))
+            return kInvalidPort;
+        // Flits that will ride the standing pseudo-circuit do not
+        // request SA at all (§3.B: "the following flits coming to the
+        // same VC can bypass SA until the circuit is terminated") —
+        // which also frees the allocator for other VCs at this input.
+        if (willUseCircuitT<P>(in, v))
+            return kInvalidPort;
+        const RouteDecision &r = vc.route();
+        if (vc.state() == InputVc::State::Active) {
+            const int credits = vc.outVcExpress()
+                ? outputs_[r.outPort].expressVc(vc.outVc()).credits
+                : outputs_[r.outPort].vc(r.drop, vc.outVc()).credits;
+            if (credits <= 0) {
+                // SA arbitrates on credit availability
+                emitTelem(TelemetryEventClass::CreditStall, now, in, v);
+                return kInvalidPort;
             }
+            return r.outPort;
         }
-
-        // Stage 1: one winning VC per input port. Inputs with no
-        // requests are skipped — an all-false grant() round does not
-        // rotate the arbiter either.
-        const int num_out = numOutputPorts();
-        std::uint64_t out_cand[64];
-        std::uint64_t out_nonspec[64];
-        for (int o = 0; o < num_out; ++o) {
-            out_cand[o] = 0;
-            out_nonspec[o] = 0;
+        if (vc.state() == InputVc::State::WaitingVa) {
+            // Head whose VA just failed: speculative request.
+            speculative = true;
+            return r.outPort;
         }
-        VcId win_vc[64];
-        for (PortId in = 0; in < num_in; ++in) {
-            const std::uint32_t vcm = static_cast<std::uint32_t>(
-                (req_mask >> (in * num_vcs)) & ((1u << num_vcs) - 1u));
-            if (vcm == 0)
-                continue;
-            const int wv = sa_.grantInputVcs(in, vcm);
-            const int idx = in * num_vcs + wv;
-            win_vc[in] = wv;
-            const PortId o = req_out[idx];
-            out_cand[o] |= 1ull << in;
-            if ((spec_mask >> idx & 1) == 0)
-                out_nonspec[o] |= 1ull << in;
-        }
-
-        // Stage 2: one winning input per output port; non-speculative
-        // requests have priority over speculative ones. Grants are
-        // processed in ascending output order, exactly like iterating
-        // the vector SwitchAllocator::allocate() returns.
-        for (PortId o = 0; o < num_out; ++o) {
-            const std::uint64_t cand = out_cand[o];
-            if (cand == 0)
-                continue;
-            const std::uint64_t elig =
-                out_nonspec[o] != 0 ? out_nonspec[o] : cand;
-            const int wi = sa_.grantOutputInput(o, elig);
-            const int idx = wi * num_vcs + win_vc[wi];
-            processSaGrantT<P>({wi, win_vc[wi], o,
-                                (spec_mask >> idx & 1) != 0},
-                               now);
-        }
-    } else {
-        std::vector<std::vector<SaRequest>> reqs(
-            num_in, std::vector<SaRequest>(num_vcs));
-        for (PortId in = 0; in < num_in; ++in) {
-            for (VcId v = 0; v < num_vcs; ++v) {
-                const InputVc &vc = inputs_[in].vc(v);
-                if (!vc.frontReady(now))
-                    continue;
-                // Flits that will ride the standing pseudo-circuit do
-                // not request SA at all (§3.B: "the following flits
-                // coming to the same VC can bypass SA until the circuit
-                // is terminated") — which also frees the allocator for
-                // other VCs at this input port.
-                if (willUseCircuitT<P>(in, v))
-                    continue;
-                if (vc.state() == InputVc::State::Active) {
-                    const RouteDecision &r = vc.route();
-                    const int credits = vc.outVcExpress()
-                        ? outputs_[r.outPort].expressVc(vc.outVc()).credits
-                        : outputs_[r.outPort].vc(r.drop, vc.outVc()).credits;
-                    if (credits <= 0) {
-                        // SA arbitrates on credit availability
-                        emitTelem(TelemetryEventClass::CreditStall, now,
-                                  in, v);
-                        continue;
-                    }
-                    reqs[in][v] = {true, r.outPort, false};
-                } else if (vc.state() == InputVc::State::WaitingVa) {
-                    // Head whose VA just failed: speculative request.
-                    reqs[in][v] = {true, vc.route().outPort, true};
-                }
-            }
-        }
-        for (const SaGrant &g : sa_.allocate(reqs))
-            processSaGrantT<P>(g, now);
-    }
+        return kInvalidPort;
+    };
+    sa_.allocate(occ_.data(), occPorts_, request,
+                 [&](const SaGrant &g) { processSaGrantT<P>(g, now); });
 
     if (P::pc(*this))
         creditTerminations(now);
@@ -750,8 +630,8 @@ Router::traverseT(PortId in_port, Flit flit, const RouteDecision &route,
                   VcId out_vc, bool express_out, bool from_buffer,
                   Cycle now)
 {
-    usedIn_[in_port] = true;
-    usedOut_[route.outPort] = true;
+    usedIn_ |= 1ull << in_port;
+    usedOut_ |= 1ull << route.outPort;
     ++stats_.xbarTraversals;
     emitTelem(TelemetryEventClass::SwitchTraverse, now, in_port, flit.vc);
     if (from_buffer)

@@ -248,6 +248,12 @@ journalKey(const SweepJob &job)
     h = fnv1a(h, job.cfg.faultSpec);
     h = fnv1a(h, job.cfg.churnSpec);
     h = fnv1a(h, std::to_string(job.cfg.dropCreditEvery));
+    // Result-changing fields describe() does not print.
+    h = fnv1a(h, std::to_string(job.cfg.linkLatency));
+    h = fnv1a(h, std::to_string(job.cfg.creditLatency));
+    h = fnv1a(h, std::to_string(job.cfg.evcLmax));
+    h = fnv1a(h, std::to_string(job.cfg.evcNumExpressVcs));
+    h = fnv1a(h, std::to_string(job.cfg.pcHistoryDepth));
     h = fnv1a(h, std::to_string(job.windows.warmup));
     h = fnv1a(h, std::to_string(job.windows.measure));
     h = fnv1a(h, std::to_string(job.windows.drainLimit));

@@ -88,7 +88,8 @@ struct JournalEntry
 
 /**
  * Content key of a job: FNV-1a 64 over label, cfg.describe(), seed,
- * fault plan (excluded from describe() for output byte-identity, so
+ * the fault and churn plans, the link/credit latencies, the EVC and
+ * pseudo-circuit history parameters (all excluded from describe(), so
  * hashed explicitly) and the phase windows.
  */
 std::uint64_t journalKey(const SweepJob &job);

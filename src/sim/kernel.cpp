@@ -18,17 +18,9 @@ resolveKernel(const SimConfig &cfg)
     // plan kills links; no need to replay that here — a non-empty
     // faultSpec already disqualifies specialization inside the factory.
 
-    const RouterOps *common = nullptr;
-    for (RouterId r = 0; r < topo->numRouters(); ++r) {
-        const RouterOps *ops = selectRouterOps(
-            cfg, *routing, topo->numInputPorts(r), topo->numOutputPorts(r));
-        if (ops == nullptr || (common != nullptr && ops != common))
-            return {routerOpsFor<GenericPolicy>().name, false};
-        common = ops;
-    }
-    if (common == nullptr)  // zero-router topologies cannot exist, but
-        return {routerOpsFor<GenericPolicy>().name, false};
-    return {common->name, common->specialized};
+    const RouterOps *ops = selectRouterOps(cfg, *routing);
+    const RouterOps &k = ops != nullptr ? *ops : routerOpsFor<GenericPolicy>();
+    return {k.name, k.specialized};
 }
 
 } // namespace noc

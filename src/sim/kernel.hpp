@@ -34,10 +34,8 @@ struct KernelInfo
 /**
  * Resolve the kernel `cfg` will run on. Builds the topology and routing
  * objects (cheap — no routers, NIs, or buffers) and queries the kernel
- * factory exactly as Router's constructor does, including the fault
- * routing wrapper that disqualifies specialization. A topology whose
- * routers would not all select the same kernel reports generic, which
- * is also what such a network would effectively be benchmarked as.
+ * factory exactly as Router's constructor does; the choice depends on
+ * the config and the routing type only, so every router agrees.
  */
 KernelInfo resolveKernel(const SimConfig &cfg);
 

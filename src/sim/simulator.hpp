@@ -162,8 +162,8 @@ struct SimResult
 
     /// Router steps actually executed over the whole run (the cycles
     /// counted by cyclesRun): routers x cyclesRun on the generic
-    /// kernel, fewer on the mask kernels, whose dormant routers are
-    /// skipped. A work counter like shardsUsed: never serialized.
+    /// kernel, fewer on the specialized kernels, whose dormant routers
+    /// are skipped. A work counter like shardsUsed: never serialized.
     std::uint64_t routerSteps = 0;
 };
 

@@ -163,16 +163,6 @@ InvariantChecker::attach(const Network &net)
 #endif
 }
 
-bool
-InvariantChecker::expect(bool ok, Invariant kind, Cycle now,
-                         RouterId router, const std::string &detail)
-{
-    ++checks_;
-    if (!ok)
-        fail(kind, now, router, detail);
-    return ok;
-}
-
 void
 InvariantChecker::fail(Invariant kind, Cycle now, RouterId router,
                        const std::string &detail)
@@ -204,16 +194,18 @@ InvariantChecker::onPacketInjected(const PacketDesc &packet, Cycle now)
     ++injectedPackets_;
     if (on(Invariant::Conserve)) {
         expect(inflight_.count(packet.id) == 0, Invariant::Conserve, now,
-               kInvalidRouter,
-               "duplicate packet id " + std::to_string(packet.id));
+               kInvalidRouter, [&] {
+                   return "duplicate packet id " + std::to_string(packet.id);
+               });
         expect(packet.src >= 0 && packet.src < net_->numNodes() &&
                    packet.dst >= 0 && packet.dst < net_->numNodes() &&
                    packet.size >= 1,
-               Invariant::Conserve, now, kInvalidRouter,
-               "malformed packet " + std::to_string(packet.id) + " src " +
-                   std::to_string(packet.src) + " dst " +
-                   std::to_string(packet.dst) + " size " +
-                   std::to_string(packet.size));
+               Invariant::Conserve, now, kInvalidRouter, [&] {
+                   return "malformed packet " + std::to_string(packet.id) +
+                          " src " + std::to_string(packet.src) + " dst " +
+                          std::to_string(packet.dst) + " size " +
+                          std::to_string(packet.size);
+               });
     }
     PacketState st;
     st.src = packet.src;
@@ -230,32 +222,38 @@ InvariantChecker::onFlitInjected(NodeId node, const Flit &flit, Cycle now)
     ++niOut_[node][flit.vc];
     if (on(Invariant::Credits)) {
         expect(niOut_[node][flit.vc] <= net_->config().bufferDepth,
-               Invariant::Credits, now, kInvalidRouter,
-               "NI " + std::to_string(node) + " vc " +
-                   std::to_string(flit.vc) +
-                   " injected past its credit window");
+               Invariant::Credits, now, kInvalidRouter, [&] {
+                   return "NI " + std::to_string(node) + " vc " +
+                          std::to_string(flit.vc) +
+                          " injected past its credit window";
+               });
     }
     const auto it = inflight_.find(flit.packet);
     if (!expect(it != inflight_.end(), Invariant::Ordering, now,
-                kInvalidRouter,
-                "flit of unknown packet " + std::to_string(flit.packet) +
-                    " injected at NI " + std::to_string(node)))
+                kInvalidRouter, [&] {
+                    return "flit of unknown packet " +
+                           std::to_string(flit.packet) + " injected at NI " +
+                           std::to_string(node);
+                }))
         return;
     PacketState &st = it->second;
     if (on(Invariant::Ordering)) {
         expect(flit.seq == st.injectedFlits, Invariant::Ordering, now,
-               kInvalidRouter,
-               "packet " + std::to_string(flit.packet) +
-                   " injected flit seq " + std::to_string(flit.seq) +
-                   " out of order (expected " +
-                   std::to_string(st.injectedFlits) + ")");
+               kInvalidRouter, [&] {
+                   return "packet " + std::to_string(flit.packet) +
+                          " injected flit seq " + std::to_string(flit.seq) +
+                          " out of order (expected " +
+                          std::to_string(st.injectedFlits) + ")";
+               });
         const bool head_ok = (flit.seq == 0) == isHead(flit.type);
         const bool tail_ok =
             (flit.seq + 1 == st.size) == isTail(flit.type);
         expect(head_ok && tail_ok, Invariant::Ordering, now, kInvalidRouter,
-               "packet " + std::to_string(flit.packet) + " flit seq " +
-                   std::to_string(flit.seq) + "/" +
-                   std::to_string(st.size) + " has wrong framing type");
+               [&] {
+                   return "packet " + std::to_string(flit.packet) +
+                          " flit seq " + std::to_string(flit.seq) + "/" +
+                          std::to_string(st.size) + " has wrong framing type";
+               });
     }
     ++st.injectedFlits;
 }
@@ -266,34 +264,38 @@ InvariantChecker::onFlitEjected(NodeId node, const Flit &flit, Cycle now)
     const auto lock = maybeLock();
     const auto it = inflight_.find(flit.packet);
     if (!expect(it != inflight_.end(), Invariant::Conserve, now,
-                kInvalidRouter,
-                "flit of unknown/finished packet " +
-                    std::to_string(flit.packet) + " ejected at NI " +
-                    std::to_string(node)))
+                kInvalidRouter, [&] {
+                    return "flit of unknown/finished packet " +
+                           std::to_string(flit.packet) + " ejected at NI " +
+                           std::to_string(node);
+                }))
         return;
     PacketState &st = it->second;
     if (on(Invariant::Ordering)) {
         expect(node == st.dst && flit.dst == st.dst && flit.src == st.src,
-               Invariant::Ordering, now, kInvalidRouter,
-               "packet " + std::to_string(flit.packet) + " (dst " +
-                   std::to_string(st.dst) + ") delivered to NI " +
-                   std::to_string(node));
+               Invariant::Ordering, now, kInvalidRouter, [&] {
+                   return "packet " + std::to_string(flit.packet) + " (dst " +
+                          std::to_string(st.dst) + ") delivered to NI " +
+                          std::to_string(node);
+               });
         expect(flit.seq == st.ejectedFlits, Invariant::Ordering, now,
-               kInvalidRouter,
-               "packet " + std::to_string(flit.packet) +
-                   " ejected flit seq " + std::to_string(flit.seq) +
-                   " out of order (expected " +
-                   std::to_string(st.ejectedFlits) + ")");
+               kInvalidRouter, [&] {
+                   return "packet " + std::to_string(flit.packet) +
+                          " ejected flit seq " + std::to_string(flit.seq) +
+                          " out of order (expected " +
+                          std::to_string(st.ejectedFlits) + ")";
+               });
     }
     ++st.ejectedFlits;
     if (st.ejectedFlits == st.size) {
         if (on(Invariant::Conserve)) {
             expect(st.injectedFlits == st.size, Invariant::Conserve, now,
-                   kInvalidRouter,
-                   "packet " + std::to_string(flit.packet) +
-                       " completed with " +
-                       std::to_string(st.injectedFlits) + "/" +
-                       std::to_string(st.size) + " flits injected");
+                   kInvalidRouter, [&] {
+                       return "packet " + std::to_string(flit.packet) +
+                              " completed with " +
+                              std::to_string(st.injectedFlits) + "/" +
+                              std::to_string(st.size) + " flits injected";
+                   });
         }
         inflight_.erase(it);
         ++deliveredPackets_;
@@ -310,12 +312,13 @@ InvariantChecker::onCreditTaken(RouterId r, PortId out_port, int drop,
     ++slot;
     if (on(Invariant::Credits)) {
         expect(slot <= net_->config().bufferDepth, Invariant::Credits, now,
-               r,
-               "out " + std::to_string(out_port) + " drop " +
-                   std::to_string(drop) + " vc " + std::to_string(vc) +
-                   (express ? " (express)" : "") + ": " +
-                   std::to_string(slot) +
-                   " flits outstanding exceed the buffer depth");
+               r, [&] {
+                   return "out " + std::to_string(out_port) + " drop " +
+                          std::to_string(drop) + " vc " + std::to_string(vc) +
+                          (express ? " (express)" : "") + ": " +
+                          std::to_string(slot) +
+                          " flits outstanding exceed the buffer depth";
+               });
     }
 }
 
@@ -328,11 +331,12 @@ InvariantChecker::onCreditReturned(RouterId r, PortId out_port, int drop,
                         : linkSlot(r, out_port, drop, vc);
     --slot;
     if (on(Invariant::Credits)) {
-        expect(slot >= 0, Invariant::Credits, now, r,
-               "out " + std::to_string(out_port) + " drop " +
-                   std::to_string(drop) + " vc " + std::to_string(vc) +
-                   (express ? " (express)" : "") +
-                   ": more credits returned than flits sent");
+        expect(slot >= 0, Invariant::Credits, now, r, [&] {
+                   return "out " + std::to_string(out_port) + " drop " +
+                          std::to_string(drop) + " vc " + std::to_string(vc) +
+                          (express ? " (express)" : "") +
+                          ": more credits returned than flits sent";
+               });
     }
 }
 
@@ -343,9 +347,11 @@ InvariantChecker::onNiCredit(NodeId node, VcId vc, Cycle now)
     --niOut_[node][vc];
     if (on(Invariant::Credits)) {
         expect(niOut_[node][vc] >= 0, Invariant::Credits, now,
-               kInvalidRouter,
-               "NI " + std::to_string(node) + " vc " + std::to_string(vc) +
-                   ": more credits returned than flits injected");
+               kInvalidRouter, [&] {
+                   return "NI " + std::to_string(node) + " vc " +
+                          std::to_string(vc) +
+                          ": more credits returned than flits injected";
+               });
     }
 }
 
@@ -366,20 +372,22 @@ InvariantChecker::onSaGrant(RouterId r, PortId in_port, VcId in_vc,
     const PseudoCircuitUnit &pc = router.pcUnit();
     const PseudoCircuitUnit::Register &reg = pc.at(in_port);
     expect(reg.valid && reg.inVc == in_vc && reg.route == route,
-           Invariant::Circuits, now, r,
-           "SA grant in " + std::to_string(in_port) + " vc " +
-               std::to_string(in_vc) + " -> out " +
-               std::to_string(route.outPort) +
-               " did not establish the pseudo-circuit");
+           Invariant::Circuits, now, r, [&] {
+               return "SA grant in " + std::to_string(in_port) + " vc " +
+                      std::to_string(in_vc) + " -> out " +
+                      std::to_string(route.outPort) +
+                      " did not establish the pseudo-circuit";
+           });
     for (PortId other = 0; other < router.numInputPorts(); ++other) {
         if (other == in_port)
             continue;
         const PseudoCircuitUnit::Register &o = pc.at(other);
         expect(!(o.valid && o.route.outPort == route.outPort),
-               Invariant::Circuits, now, r,
-               "conflicting circuit at in " + std::to_string(other) +
-                   " survived the SA grant towards out " +
-                   std::to_string(route.outPort));
+               Invariant::Circuits, now, r, [&] {
+                   return "conflicting circuit at in " + std::to_string(other) +
+                          " survived the SA grant towards out " +
+                          std::to_string(route.outPort);
+               });
     }
 }
 
@@ -394,19 +402,23 @@ InvariantChecker::onPcReuse(RouterId r, PortId in_port, VcId in_vc,
     const PseudoCircuitUnit::Register &reg =
         net_->router(r).pcUnit().at(in_port);
     const char *path = via_latch ? "buffer bypass" : "SA bypass";
-    expect(reg.valid && reg.inVc == in_vc, Invariant::Circuits, now, r,
-           std::string(path) + " at in " + std::to_string(in_port) +
-               " vc " + std::to_string(in_vc) +
-               " without a matching valid circuit");
-    expect(reg.route == used, Invariant::Circuits, now, r,
-           std::string(path) + " at in " + std::to_string(in_port) +
-               " used a route different from the circuit register");
-    expect(flit.route == used, Invariant::Circuits, now, r,
-           std::string(path) + " at in " + std::to_string(in_port) +
-               " sent a flit towards out " + std::to_string(used.outPort) +
-               " but the flit wanted out " +
-               std::to_string(flit.route.outPort) +
-               " (stale circuit misdelivery)");
+    expect(reg.valid && reg.inVc == in_vc, Invariant::Circuits, now, r, [&] {
+               return std::string(path) + " at in " + std::to_string(in_port) +
+                      " vc " + std::to_string(in_vc) +
+                      " without a matching valid circuit";
+           });
+    expect(reg.route == used, Invariant::Circuits, now, r, [&] {
+               return std::string(path) + " at in " + std::to_string(in_port) +
+                      " used a route different from the circuit register";
+           });
+    expect(flit.route == used, Invariant::Circuits, now, r, [&] {
+               return std::string(path) + " at in " + std::to_string(in_port) +
+                      " sent a flit towards out " +
+                      std::to_string(used.outPort) +
+                      " but the flit wanted out " +
+                      std::to_string(flit.route.outPort) +
+                      " (stale circuit misdelivery)";
+           });
 }
 
 void
@@ -477,14 +489,16 @@ InvariantChecker::scanRouterState(Cycle now)
                         expect(s.credits >= 0 && s.credits <= depth &&
                                    out >= 0 && out <= depth &&
                                    s.credits == depth - out,
-                               Invariant::Credits, now, r,
-                               "out " + std::to_string(p) + " drop " +
-                                   std::to_string(d) + " vc " +
-                                   std::to_string(v) + ": " +
-                                   std::to_string(s.credits) +
-                                   " credits with " + std::to_string(out) +
-                                   " flits outstanding (depth " +
-                                   std::to_string(depth) + ")");
+                               Invariant::Credits, now, r, [&] {
+                                   return "out " + std::to_string(p) +
+                                          " drop " + std::to_string(d) +
+                                          " vc " + std::to_string(v) + ": " +
+                                          std::to_string(s.credits) +
+                                          " credits with " +
+                                          std::to_string(out) +
+                                          " flits outstanding (depth " +
+                                          std::to_string(depth) + ")";
+                               });
                     }
                     if (on(Invariant::VcState) && s.owned) {
                         bool ok = s.ownerPort >= 0 &&
@@ -498,12 +512,13 @@ InvariantChecker::scanRouterState(Cycle now)
                                 ivc.route().outPort == p &&
                                 ivc.route().drop == d;
                         }
-                        expect(ok, Invariant::VcState, now, r,
-                               "out " + std::to_string(p) + " drop " +
-                                   std::to_string(d) + " vc " +
-                                   std::to_string(v) +
-                                   " owned without a matching active "
-                                   "input VC");
+                        expect(ok, Invariant::VcState, now, r, [&] {
+                                   return "out " + std::to_string(p) +
+                                          " drop " + std::to_string(d) +
+                                          " vc " + std::to_string(v) +
+                                          " owned without a matching active "
+                                          "input VC";
+                               });
                     }
                 }
             }
@@ -516,12 +531,14 @@ InvariantChecker::scanRouterState(Cycle now)
                         it == expressOut_.end() ? 0 : it->second;
                     if (on(Invariant::Credits)) {
                         expect(s.credits == depth - out,
-                               Invariant::Credits, now, r,
-                               "out " + std::to_string(p) +
-                                   " express vc " + std::to_string(v) +
-                                   ": " + std::to_string(s.credits) +
-                                   " credits with " + std::to_string(out) +
-                                   " flits outstanding");
+                               Invariant::Credits, now, r, [&] {
+                                   return "out " + std::to_string(p) +
+                                          " express vc " + std::to_string(v) +
+                                          ": " + std::to_string(s.credits) +
+                                          " credits with " +
+                                          std::to_string(out) +
+                                          " flits outstanding";
+                               });
                     }
                     if (on(Invariant::VcState) && s.owned) {
                         bool ok = s.ownerPort >= 0 &&
@@ -534,11 +551,12 @@ InvariantChecker::scanRouterState(Cycle now)
                                 ivc.outVcExpress() && ivc.outVc() == v &&
                                 ivc.route().outPort == p;
                         }
-                        expect(ok, Invariant::VcState, now, r,
-                               "out " + std::to_string(p) +
-                                   " express vc " + std::to_string(v) +
-                                   " owned without a matching active "
-                                   "input VC");
+                        expect(ok, Invariant::VcState, now, r, [&] {
+                                   return "out " + std::to_string(p) +
+                                          " express vc " + std::to_string(v) +
+                                          " owned without a matching active "
+                                          "input VC";
+                               });
                     }
                 }
             }
@@ -549,30 +567,34 @@ InvariantChecker::scanRouterState(Cycle now)
             for (PortId p = 0; p < router.numInputPorts(); ++p) {
                 for (VcId v = 0; v < num_vcs; ++v) {
                     const InputVc &vc = router.inputVc(p, v);
-                    const std::string where =
-                        "in " + std::to_string(p) + " vc " +
-                        std::to_string(v);
+                    const auto where = [&] {
+                        return "in " + std::to_string(p) + " vc " +
+                               std::to_string(v);
+                    };
                     expect(vc.occupancy() <=
                                static_cast<std::size_t>(depth),
-                           Invariant::VcState, now, r,
-                           where + " holds " +
-                               std::to_string(vc.occupancy()) +
-                               " flits, buffer depth is " +
-                               std::to_string(depth));
+                           Invariant::VcState, now, r, [&] {
+                               return where() + " holds " +
+                                      std::to_string(vc.occupancy()) +
+                                      " flits, buffer depth is " +
+                                      std::to_string(depth);
+                           });
                     switch (vc.state()) {
                       case InputVc::State::Idle:
-                        expect(vc.empty(), Invariant::VcState, now, r,
-                               where + " idle with " +
-                                   std::to_string(vc.occupancy()) +
-                                   " buffered flits");
+                        expect(vc.empty(), Invariant::VcState, now, r, [&] {
+                                   return where() + " idle with " +
+                                          std::to_string(vc.occupancy()) +
+                                          " buffered flits";
+                               });
                         break;
                       case InputVc::State::WaitingVa:
                         expect(!vc.empty() &&
                                    isHead(vc.front().flit.type) &&
                                    vc.front().flit.route == vc.route(),
-                               Invariant::VcState, now, r,
-                               where + " waiting for VA without a "
-                                       "matching head at the front");
+                               Invariant::VcState, now, r, [&] {
+                                   return where() + " waiting for VA without a "
+                                          "matching head at the front";
+                               });
                         break;
                       case InputVc::State::Active: {
                         bool ok = vc.outVc() >= 0 && vc.outVc() < num_vcs &&
@@ -590,9 +612,11 @@ InvariantChecker::scanRouterState(Cycle now)
                                     s.ownerVc == v;
                             }
                         }
-                        expect(ok, Invariant::VcState, now, r,
-                               where + " active without owning its "
-                                       "output VC");
+                        expect(ok, Invariant::VcState, now, r, [&] {
+                                   return where() +
+                                          " active without owning its "
+                                          "output VC";
+                               });
                         break;
                       }
                     }
@@ -616,17 +640,20 @@ InvariantChecker::scanRouterState(Cycle now)
                     router.outputPort(reg.route.outPort).connected() &&
                     reg.route.drop <
                         router.outputPort(reg.route.outPort).numDrops();
-                expect(route_ok, Invariant::Circuits, now, r,
-                       "circuit at in " + std::to_string(in) +
-                           " references an invalid route");
+                expect(route_ok, Invariant::Circuits, now, r, [&] {
+                           return "circuit at in " + std::to_string(in) +
+                                  " references an invalid route";
+                       });
                 if (!route_ok)
                     continue;
                 const PortId out = reg.route.outPort;
                 expect(holders[out] == kInvalidPort, Invariant::Circuits,
-                       now, r,
-                       "circuits at in " + std::to_string(holders[out]) +
-                           " and in " + std::to_string(in) +
-                           " both drive out " + std::to_string(out));
+                       now, r, [&] {
+                           return "circuits at in " +
+                                  std::to_string(holders[out]) + " and in " +
+                                  std::to_string(in) + " both drive out " +
+                                  std::to_string(out);
+                       });
                 holders[out] = in;
 
                 // §3.C condition 2: a circuit that is not actively
@@ -639,10 +666,11 @@ InvariantChecker::scanRouterState(Cycle now)
                 const OutputPort &op = router.outputPort(out);
                 expect(streaming ||
                            op.anyCredit(reg.route.drop, 0, num_vcs),
-                       Invariant::Circuits, now, r,
-                       "idle circuit at in " + std::to_string(in) +
-                           " -> out " + std::to_string(out) +
-                           " survived with zero downstream credits");
+                       Invariant::Circuits, now, r, [&] {
+                           return "idle circuit at in " + std::to_string(in) +
+                                  " -> out " + std::to_string(out) +
+                                  " survived with zero downstream credits";
+                       });
             }
         }
     }
@@ -653,12 +681,14 @@ InvariantChecker::scanRouterState(Cycle now)
             const NetworkInterface &ni = net_->ni(n);
             for (VcId v = 0; v < num_vcs; ++v) {
                 expect(ni.credits(v) == depth - niOut_[n][v],
-                       Invariant::Credits, now, kInvalidRouter,
-                       "NI " + std::to_string(n) + " vc " +
-                           std::to_string(v) + ": " +
-                           std::to_string(ni.credits(v)) +
-                           " credits with " + std::to_string(niOut_[n][v]) +
-                           " flits outstanding");
+                       Invariant::Credits, now, kInvalidRouter, [&] {
+                           return "NI " + std::to_string(n) + " vc " +
+                                  std::to_string(v) + ": " +
+                                  std::to_string(ni.credits(v)) +
+                                  " credits with " +
+                                  std::to_string(niOut_[n][v]) +
+                                  " flits outstanding";
+                       });
             }
         }
     }
@@ -668,10 +698,11 @@ void
 InvariantChecker::scanConservation(Cycle now)
 {
     expect(inflight_.size() == net_->packetsOutstanding(),
-           Invariant::Conserve, now, kInvalidRouter,
-           "checker tracks " + std::to_string(inflight_.size()) +
-               " packets in flight, network reports " +
-               std::to_string(net_->packetsOutstanding()));
+           Invariant::Conserve, now, kInvalidRouter, [&] {
+               return "checker tracks " + std::to_string(inflight_.size()) +
+                      " packets in flight, network reports " +
+                      std::to_string(net_->packetsOutstanding());
+           });
 }
 
 void
@@ -805,10 +836,12 @@ InvariantChecker::checkDrained(Cycle now)
 
     if (on(Invariant::Conserve)) {
         expect(inflight_.empty(), Invariant::Conserve, now, kInvalidRouter,
-               std::to_string(inflight_.size()) +
-                   " packets never completed (injected " +
-                   std::to_string(injectedPackets_) + ", delivered " +
-                   std::to_string(deliveredPackets_) + ")");
+               [&] {
+                   return std::to_string(inflight_.size()) +
+                          " packets never completed (injected " +
+                          std::to_string(injectedPackets_) + ", delivered " +
+                          std::to_string(deliveredPackets_) + ")";
+               });
         int shown = 0;
         for (const auto &[id, st] : inflight_) {
             if (++shown > 4)
@@ -822,11 +855,12 @@ InvariantChecker::checkDrained(Cycle now)
                      "cycle " + std::to_string(st.created));
         }
         expect(injectedPackets_ == deliveredPackets_ + inflight_.size(),
-               Invariant::Conserve, now, kInvalidRouter,
-               "packet conservation broke: injected " +
-                   std::to_string(injectedPackets_) + " != delivered " +
-                   std::to_string(deliveredPackets_) + " + in-flight " +
-                   std::to_string(inflight_.size()));
+               Invariant::Conserve, now, kInvalidRouter, [&] {
+                   return "packet conservation broke: injected " +
+                          std::to_string(injectedPackets_) + " != delivered " +
+                          std::to_string(deliveredPackets_) + " + in-flight " +
+                          std::to_string(inflight_.size());
+               });
     }
 
     if (on(Invariant::Credits)) {
@@ -853,14 +887,16 @@ InvariantChecker::checkDrained(Cycle now)
                         const int out = linkOut_[r][p][
                             static_cast<std::size_t>(d * num_vcs + v)];
                         expect(out == 0 && op.vc(d, v).credits == depth,
-                               Invariant::Credits, now, r,
-                               "drained out " + std::to_string(p) +
-                                   " drop " + std::to_string(d) + " vc " +
-                                   std::to_string(v) + " leaked credits (" +
-                                   std::to_string(op.vc(d, v).credits) +
-                                   "/" + std::to_string(depth) +
-                                   " home, ledger " + std::to_string(out) +
-                                   ")");
+                               Invariant::Credits, now, r, [&] {
+                                   return "drained out " + std::to_string(p) +
+                                          " drop " + std::to_string(d) +
+                                          " vc " + std::to_string(v) +
+                                          " leaked credits (" +
+                                          std::to_string(op.vc(d, v).credits) +
+                                          "/" + std::to_string(depth) +
+                                          " home, ledger " +
+                                          std::to_string(out) + ")";
+                               });
                     }
                 }
             }
@@ -870,23 +906,25 @@ InvariantChecker::checkDrained(Cycle now)
             const OutputVcState &s =
                 net_->router(r).outputPort(p).expressVc(v);
             expect(out == 0 && s.credits == depth, Invariant::Credits, now,
-                   r,
-                   "drained out " + std::to_string(p) + " express vc " +
-                       std::to_string(v) + " leaked credits (" +
-                       std::to_string(s.credits) + "/" +
-                       std::to_string(depth) + " home, ledger " +
-                       std::to_string(out) + ")");
+                   r, [&] {
+                       return "drained out " + std::to_string(p) +
+                              " express vc " + std::to_string(v) +
+                              " leaked credits (" + std::to_string(s.credits) +
+                              "/" + std::to_string(depth) + " home, ledger " +
+                              std::to_string(out) + ")";
+                   });
         }
         for (NodeId n = 0; n < net_->numNodes(); ++n) {
             const NetworkInterface &ni = net_->ni(n);
             for (VcId v = 0; v < num_vcs; ++v) {
                 expect(niOut_[n][v] == 0 && ni.credits(v) == depth,
-                       Invariant::Credits, now, kInvalidRouter,
-                       "drained NI " + std::to_string(n) + " vc " +
-                           std::to_string(v) + " leaked credits (" +
-                           std::to_string(ni.credits(v)) + "/" +
-                           std::to_string(depth) + " home, ledger " +
-                           std::to_string(niOut_[n][v]) + ")");
+                       Invariant::Credits, now, kInvalidRouter, [&] {
+                           return "drained NI " + std::to_string(n) + " vc " +
+                                  std::to_string(v) + " leaked credits (" +
+                                  std::to_string(ni.credits(v)) + "/" +
+                                  std::to_string(depth) + " home, ledger " +
+                                  std::to_string(niOut_[n][v]) + ")";
+                       });
             }
         }
     }
@@ -899,11 +937,13 @@ InvariantChecker::checkDrained(Cycle now)
                     const InputVc &vc = router.inputVc(p, v);
                     expect(vc.state() == InputVc::State::Idle &&
                                vc.empty(),
-                           Invariant::VcState, now, r,
-                           "drained in " + std::to_string(p) + " vc " +
-                               std::to_string(v) + " still busy (" +
-                               std::to_string(vc.occupancy()) +
-                               " flits buffered)");
+                           Invariant::VcState, now, r, [&] {
+                               return "drained in " + std::to_string(p) +
+                                      " vc " + std::to_string(v) +
+                                      " still busy (" +
+                                      std::to_string(vc.occupancy()) +
+                                      " flits buffered)";
+                           });
                 }
             }
             for (PortId p = 0; p < router.numOutputPorts(); ++p) {
@@ -913,10 +953,12 @@ InvariantChecker::checkDrained(Cycle now)
                 for (int d = 0; d < op.numDrops(); ++d) {
                     for (VcId v = 0; v < num_vcs; ++v) {
                         expect(!op.vc(d, v).owned, Invariant::VcState,
-                               now, r,
-                               "drained out " + std::to_string(p) +
-                                   " drop " + std::to_string(d) + " vc " +
-                                   std::to_string(v) + " still owned");
+                               now, r, [&] {
+                                   return "drained out " + std::to_string(p) +
+                                          " drop " + std::to_string(d) +
+                                          " vc " + std::to_string(v) +
+                                          " still owned";
+                               });
                     }
                 }
             }

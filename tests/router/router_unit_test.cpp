@@ -294,9 +294,9 @@ drainSent(Router &router)
 }
 
 /**
- * A mask-kernel router stepped only while awake, as the Network does,
- * beside a generic-kernel twin (which never sleeps) stepped every cycle.
- * Every input goes to both; every cycle's sent lists must match.
+ * A specialized-kernel router stepped only while awake, as the Network
+ * does, beside a generic-kernel twin (which never sleeps) stepped every
+ * cycle. Every input goes to both; every cycle's sent lists must match.
  */
 struct Twins
 {
@@ -384,7 +384,8 @@ TEST(RouterUnit, DormantRouterMatchesGenericTwinAcrossIdleGaps)
         }
         t.cycles(2 * slots);
 
-        EXPECT_TRUE(t.slept) << "the mask-kernel router never went dormant";
+        EXPECT_TRUE(t.slept)
+            << "the specialized-kernel router never went dormant";
         const RouterStats &a = t.fast.router->stats();
         const RouterStats &b = t.ref.router->stats();
         EXPECT_EQ(a.vaGrants, b.vaGrants);
@@ -431,6 +432,82 @@ TEST(RouterUnit, CreditWakesDormantRouterToSpeculate)
               t.ref.router->pcUnit().at(west).valid);
     EXPECT_EQ(t.fast.router->pcStats().speculated,
               t.ref.router->pcStats().speculated);
+}
+
+// --- Mask limits: every VC, input-port and output-port set of a router
+// is one uint64, so a router past 64 of any of them must not build. ---
+
+/** A 2x1 mesh whose router 0 also feeds router 1 through `extra`
+ *  parallel channels: router 0 gains `extra` output ports, router 1
+ *  `extra` input ports, and neither gains the other kind. */
+struct WideMesh : Mesh
+{
+    explicit WideMesh(int extra) : Mesh(2, 1, 1)
+    {
+        for (int c = 0; c < extra; ++c)
+            addChannel(0, {1});
+    }
+};
+
+SimConfig
+wideMeshConfig()
+{
+    SimConfig cfg;
+    cfg.topology = TopologyKind::Mesh;
+    cfg.meshWidth = 2;
+    cfg.meshHeight = 1;
+    cfg.concentration = 1;
+    return cfg;
+}
+
+TEST(RouterLimits, MoreThan64VcsIsFatal)
+{
+    const SimConfig cfg = [] {
+        SimConfig c = wideMeshConfig();
+        c.numVcs = 65;
+        return c;
+    }();
+    const Mesh topo(2, 1, 1);
+    const auto routing = makeRouting(RoutingKind::XY, topo);
+    EXPECT_EXIT(Router(cfg, topo, *routing, 0), testing::ExitedWithCode(1),
+                "65 VCs per port exceed the limit of 64 VCs per port");
+}
+
+TEST(RouterLimits, MoreThan64InputPortsIsFatal)
+{
+    const WideMesh topo(63);
+    ASSERT_EQ(topo.numInputPorts(1), 65);
+    ASSERT_LE(topo.numOutputPorts(1), 64);
+    const auto routing = makeRouting(RoutingKind::XY, topo);
+    EXPECT_EXIT(Router(wideMeshConfig(), topo, *routing, 1),
+                testing::ExitedWithCode(1),
+                "65 input ports exceed the limit of 64 input ports");
+}
+
+TEST(RouterLimits, MoreThan64OutputPortsIsFatal)
+{
+    const WideMesh topo(60);
+    ASSERT_EQ(topo.numOutputPorts(0), 65);
+    ASSERT_LE(topo.numInputPorts(0), 64);
+    const auto routing = makeRouting(RoutingKind::XY, topo);
+    EXPECT_EXIT(Router(wideMeshConfig(), topo, *routing, 0),
+                testing::ExitedWithCode(1),
+                "65 output ports exceed the limit of 64 output ports");
+}
+
+TEST(RouterLimits, SixtyFourOfEachBuilds)
+{
+    SimConfig cfg = wideMeshConfig();
+    cfg.numVcs = 64;
+    const WideMesh out_topo(59);
+    const WideMesh in_topo(62);
+    const auto out_routing = makeRouting(RoutingKind::XY, out_topo);
+    const auto in_routing = makeRouting(RoutingKind::XY, in_topo);
+    const Router out_wide(cfg, out_topo, *out_routing, 0);
+    const Router in_wide(cfg, in_topo, *in_routing, 1);
+    EXPECT_EQ(out_wide.numOutputPorts(), 64);
+    EXPECT_EQ(in_wide.numInputPorts(), 64);
+    EXPECT_EQ(in_wide.numVcs(), 64);
 }
 
 } // namespace

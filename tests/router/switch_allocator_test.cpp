@@ -1,29 +1,58 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "router/switch_allocator.hpp"
 
 namespace noc {
 namespace {
 
-std::vector<std::vector<SaRequest>>
-emptyRequests(int ins, int vcs)
+/** One VC's request: the output port it wants. */
+struct Req
 {
-    return std::vector<std::vector<SaRequest>>(
-        ins, std::vector<SaRequest>(vcs));
+    PortId out = kInvalidPort;   ///< kInvalidPort: occupied, no request
+    bool speculative = false;
+};
+
+using Requests = std::map<std::pair<PortId, VcId>, Req>;
+
+/** One allocation round in which exactly the VCs of `reqs` are
+ *  occupied; returns the grants in delivery order. */
+std::vector<SaGrant>
+allocate(SwitchAllocator &sa, int num_in, const Requests &reqs)
+{
+    std::vector<std::uint64_t> occ(num_in, 0);
+    std::uint64_t ports = 0;
+    for (const auto &[slot, r] : reqs) {
+        occ[slot.first] |= 1ull << slot.second;
+        ports |= 1ull << slot.first;
+    }
+    std::vector<SaGrant> grants;
+    sa.allocate(
+        occ.data(), ports,
+        [&](PortId in, VcId v, bool &speculative) {
+            const Req &r = reqs.at({in, v});
+            speculative = r.speculative;
+            return r.out;
+        },
+        [&](const SaGrant &g) { grants.push_back(g); });
+    return grants;
 }
 
 TEST(SwitchAllocator, NoRequestsNoGrants)
 {
     SwitchAllocator sa(3, 3, 2);
-    EXPECT_TRUE(sa.allocate(emptyRequests(3, 2)).empty());
+    EXPECT_TRUE(allocate(sa, 3, {}).empty());
+    // Occupied VCs that make no request grant nothing either.
+    EXPECT_TRUE(allocate(sa, 3, {{{0, 1}, {}}, {{2, 0}, {}}}).empty());
 }
 
 TEST(SwitchAllocator, SingleRequestGranted)
 {
     SwitchAllocator sa(3, 3, 2);
-    auto reqs = emptyRequests(3, 2);
-    reqs[1][0] = {true, 2, false};
-    const auto grants = sa.allocate(reqs);
+    const auto grants = allocate(sa, 3, {{{1, 0}, {2, false}}});
     ASSERT_EQ(grants.size(), 1u);
     EXPECT_EQ(grants[0].inPort, 1);
     EXPECT_EQ(grants[0].inVc, 0);
@@ -34,10 +63,10 @@ TEST(SwitchAllocator, SingleRequestGranted)
 TEST(SwitchAllocator, OneGrantPerOutputPort)
 {
     SwitchAllocator sa(4, 2, 2);
-    auto reqs = emptyRequests(4, 2);
+    Requests reqs;
     for (int i = 0; i < 4; ++i)
-        reqs[i][0] = {true, 0, false};   // everyone wants output 0
-    const auto grants = sa.allocate(reqs);
+        reqs[{i, 0}] = {0, false};   // everyone wants output 0
+    const auto grants = allocate(sa, 4, reqs);
     ASSERT_EQ(grants.size(), 1u);
     EXPECT_EQ(grants[0].outPort, 0);
 }
@@ -45,10 +74,10 @@ TEST(SwitchAllocator, OneGrantPerOutputPort)
 TEST(SwitchAllocator, OneGrantPerInputPort)
 {
     SwitchAllocator sa(1, 4, 4);
-    auto reqs = emptyRequests(1, 4);
+    Requests reqs;
     for (int v = 0; v < 4; ++v)
-        reqs[0][v] = {true, v, false};   // four VCs, four outputs
-    const auto grants = sa.allocate(reqs);
+        reqs[{0, v}] = {v, false};   // four VCs, four outputs
+    const auto grants = allocate(sa, 1, reqs);
     ASSERT_EQ(grants.size(), 1u);
     EXPECT_EQ(grants[0].inPort, 0);
 }
@@ -56,21 +85,22 @@ TEST(SwitchAllocator, OneGrantPerInputPort)
 TEST(SwitchAllocator, ParallelFlowsAllGranted)
 {
     SwitchAllocator sa(3, 3, 1);
-    auto reqs = emptyRequests(3, 1);
-    reqs[0][0] = {true, 1, false};
-    reqs[1][0] = {true, 2, false};
-    reqs[2][0] = {true, 0, false};
-    EXPECT_EQ(sa.allocate(reqs).size(), 3u);
+    const auto grants = allocate(
+        sa, 3,
+        {{{0, 0}, {1, false}}, {{1, 0}, {2, false}}, {{2, 0}, {0, false}}});
+    ASSERT_EQ(grants.size(), 3u);
+    // Delivered in ascending output order.
+    for (int o = 0; o < 3; ++o)
+        EXPECT_EQ(grants[o].outPort, o);
 }
 
 TEST(SwitchAllocator, NonSpeculativeBeatsSpeculative)
 {
     SwitchAllocator sa(2, 2, 1);
-    auto reqs = emptyRequests(2, 1);
-    reqs[0][0] = {true, 0, true};    // speculative
-    reqs[1][0] = {true, 0, false};   // committed
+    const Requests reqs{{{0, 0}, {0, true}},    // speculative
+                        {{1, 0}, {0, false}}};  // committed
     for (int round = 0; round < 4; ++round) {
-        const auto grants = sa.allocate(reqs);
+        const auto grants = allocate(sa, 2, reqs);
         ASSERT_EQ(grants.size(), 1u);
         EXPECT_EQ(grants[0].inPort, 1);
         EXPECT_FALSE(grants[0].speculative);
@@ -80,9 +110,7 @@ TEST(SwitchAllocator, NonSpeculativeBeatsSpeculative)
 TEST(SwitchAllocator, SpeculativeGrantedWhenAlone)
 {
     SwitchAllocator sa(2, 2, 1);
-    auto reqs = emptyRequests(2, 1);
-    reqs[0][0] = {true, 1, true};
-    const auto grants = sa.allocate(reqs);
+    const auto grants = allocate(sa, 2, {{{0, 0}, {1, true}}});
     ASSERT_EQ(grants.size(), 1u);
     EXPECT_TRUE(grants[0].speculative);
 }
@@ -90,12 +118,10 @@ TEST(SwitchAllocator, SpeculativeGrantedWhenAlone)
 TEST(SwitchAllocator, RotatesFairlyAcrossInputs)
 {
     SwitchAllocator sa(2, 1, 1);
-    auto reqs = emptyRequests(2, 1);
-    reqs[0][0] = {true, 0, false};
-    reqs[1][0] = {true, 0, false};
+    const Requests reqs{{{0, 0}, {0, false}}, {{1, 0}, {0, false}}};
     std::vector<int> wins(2, 0);
     for (int i = 0; i < 100; ++i) {
-        const auto grants = sa.allocate(reqs);
+        const auto grants = allocate(sa, 2, reqs);
         ASSERT_EQ(grants.size(), 1u);
         ++wins[grants[0].inPort];
     }
@@ -106,17 +132,50 @@ TEST(SwitchAllocator, RotatesFairlyAcrossInputs)
 TEST(SwitchAllocator, RotatesFairlyAcrossVcs)
 {
     SwitchAllocator sa(1, 2, 2);
-    auto reqs = emptyRequests(1, 2);
-    reqs[0][0] = {true, 0, false};
-    reqs[0][1] = {true, 1, false};
+    const Requests reqs{{{0, 0}, {0, false}}, {{0, 1}, {1, false}}};
     std::vector<int> wins(2, 0);
     for (int i = 0; i < 100; ++i) {
-        const auto grants = sa.allocate(reqs);
+        const auto grants = allocate(sa, 1, reqs);
         ASSERT_EQ(grants.size(), 1u);
         ++wins[grants[0].inVc];
     }
     EXPECT_EQ(wins[0], 50);
     EXPECT_EQ(wins[1], 50);
+}
+
+TEST(SwitchAllocator, VisitsOccupiedVcsInAscendingSlotOrder)
+{
+    SwitchAllocator sa(3, 2, 4);
+    const Requests reqs{{{2, 1}, {}}, {{0, 3}, {}}, {{2, 0}, {}},
+                        {{0, 1}, {}}};
+    std::vector<std::uint64_t> occ(3, 0);
+    for (const auto &[slot, r] : reqs)
+        occ[slot.first] |= 1ull << slot.second;
+    std::vector<std::pair<PortId, VcId>> seen;
+    sa.allocate(
+        occ.data(), 0b101,
+        [&](PortId in, VcId v, bool &) {
+            seen.emplace_back(in, v);
+            return kInvalidPort;
+        },
+        [](const SaGrant &) { FAIL() << "no request, no grant"; });
+    const std::vector<std::pair<PortId, VcId>> want{
+        {0, 1}, {0, 3}, {2, 0}, {2, 1}};
+    EXPECT_EQ(seen, want);
+}
+
+TEST(SwitchAllocator, FullWidthRouterUsesTheTopSlots)
+{
+    // 64 inputs x 64 VCs x 64 outputs: the last input, VC and output
+    // are reachable through every mask.
+    SwitchAllocator sa(64, 64, 64);
+    const auto grants = allocate(
+        sa, 64, {{{63, 63}, {63, false}}, {{0, 0}, {63, true}}});
+    ASSERT_EQ(grants.size(), 1u);
+    EXPECT_EQ(grants[0].inPort, 63);
+    EXPECT_EQ(grants[0].inVc, 63);
+    EXPECT_EQ(grants[0].outPort, 63);
+    EXPECT_FALSE(grants[0].speculative);
 }
 
 } // namespace

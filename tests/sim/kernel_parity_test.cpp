@@ -229,6 +229,26 @@ TEST(KernelParity, ConcentratedMeshMatchesGeneric)
     expectKernelParity(cfg, "mesh-dor/pseudo-sb");
 }
 
+TEST(KernelParity, WideVcMeshMatchesGeneric)
+{
+    // 16 VCs on a 5-port mesh router: 80 (port, VC) slots, past one
+    // occupancy word, on the specialized kernel.
+    for (const VaPolicy va : {VaPolicy::Static, VaPolicy::Dynamic}) {
+        SCOPED_TRACE(toString(va));
+        SimConfig cfg = meshConfig(4, 4, Scheme::PseudoSB);
+        cfg.numVcs = 16;
+        cfg.vaPolicy = va;
+        expectKernelParity(cfg, "mesh-dor/pseudo-sb");
+    }
+    SimConfig cfg = meshConfig(4, 4, Scheme::Baseline);
+    cfg.numVcs = 16;
+    expectKernelParity(cfg, "mesh-dor/baseline");
+    // 64 VCs: the VA rotation and the allocator reach bit 63.
+    cfg = meshConfig(3, 3, Scheme::PseudoSB);
+    cfg.numVcs = 64;
+    expectKernelParity(cfg, "mesh-dor/pseudo-sb");
+}
+
 TEST(KernelParity, TrafficPatternsMatchGeneric)
 {
     for (const SyntheticPattern p :

@@ -219,6 +219,71 @@ TEST(SweepResilience, JournalLoadDropsATruncatedFinalLine)
     EXPECT_TRUE(SweepJournal::load("no-such-journal.jsonl").empty());
 }
 
+/**
+ * Stale-resume guard: journal a finished run of `journaled`, then look
+ * `resumed` up the way a resume=1 sweep does. The journal must not
+ * cover it, so the changed job re-runs instead of replaying stale rows.
+ */
+void
+expectResumeReruns(const SweepJob &journaled, const SweepJob &resumed)
+{
+    TempJournal tmp("sweep_resume_test.stale.tmp");
+    const std::vector<SweepOutcome> outs = runSweep({journaled}, 1);
+    ASSERT_TRUE(outs[0].ok);
+    {
+        SweepJournal journal(tmp.path);
+        journal.append(makeJournalEntry(journaled, outs[0]));
+    }
+    const auto done = SweepJournal::load(tmp.path);
+    ASSERT_EQ(done.count(journalKey(journaled)), 1u);
+    EXPECT_EQ(done.count(journalKey(resumed)), 0u)
+        << "resume would replay the journaled run's rows";
+}
+
+TEST(SweepResilience, StaleResumeRerunsOnLinkLatencyChange)
+{
+    const SweepJob base = makeJob("stale", 1, 500);
+    SweepJob changed = base;
+    changed.cfg.linkLatency = 3;
+    expectResumeReruns(base, changed);
+}
+
+TEST(SweepResilience, StaleResumeRerunsOnCreditLatencyChange)
+{
+    const SweepJob base = makeJob("stale", 1, 500);
+    SweepJob changed = base;
+    changed.cfg.creditLatency = 2;
+    expectResumeReruns(base, changed);
+}
+
+TEST(SweepResilience, StaleResumeRerunsOnEvcLmaxChange)
+{
+    SweepJob base = makeJob("stale", 1, 500);
+    base.cfg.scheme = Scheme::Evc;
+    base.cfg.numVcs = 4;
+    SweepJob changed = base;
+    changed.cfg.evcLmax = base.cfg.evcLmax + 1;
+    expectResumeReruns(base, changed);
+}
+
+TEST(SweepResilience, StaleResumeRerunsOnEvcExpressVcsChange)
+{
+    SweepJob base = makeJob("stale", 1, 500);
+    base.cfg.scheme = Scheme::Evc;
+    base.cfg.numVcs = 4;
+    SweepJob changed = base;
+    changed.cfg.evcNumExpressVcs = base.cfg.evcNumExpressVcs == 1 ? 2 : 1;
+    expectResumeReruns(base, changed);
+}
+
+TEST(SweepResilience, StaleResumeRerunsOnPcHistoryDepthChange)
+{
+    const SweepJob base = makeJob("stale", 1, 500);
+    SweepJob changed = base;
+    changed.cfg.pcHistoryDepth = base.cfg.pcHistoryDepth + 1;
+    expectResumeReruns(base, changed);
+}
+
 TEST(SweepResilience, CompletionHookSeesSubmissionIndices)
 {
     std::vector<SweepJob> jobs;
