@@ -24,6 +24,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_main.hpp"
@@ -187,6 +188,17 @@ main(int argc, char **argv)
                       "flits", "counter");
         report.metric(point + ":avg_net_latency",
                       sharded.result.avgNetLatency, "cycles", "stat");
+        // Memory as exact counters: peak calendar slots and router
+        // flit-storage bytes, for each path.
+        for (const auto &[leg, t] :
+             {std::pair{"serial", &serial}, std::pair{"sharded", &sharded}}) {
+            report.metric(point + ":" + leg + "_calendar_slots",
+                          static_cast<double>(t->result.calendarSlots),
+                          "slots", "counter");
+            report.metric(point + ":" + leg + "_arena_bytes",
+                          static_cast<double>(t->result.arenaBytes),
+                          "bytes", "counter");
+        }
     }
     emitStructuredResults(cli, outcomes);
 

@@ -17,7 +17,7 @@ Arena::allocRaw(std::size_t bytes, std::size_t align)
     if (chunk == nullptr || offset + bytes > chunk->size) {
         Chunk fresh;
         fresh.size = std::max(chunkBytes_, bytes + align);
-        fresh.mem = std::make_unique<std::byte[]>(fresh.size);
+        fresh.mem = std::make_unique_for_overwrite<std::byte[]>(fresh.size);
         chunks_.push_back(std::move(fresh));
         chunk = &chunks_.back();
         const auto base = reinterpret_cast<std::uintptr_t>(chunk->mem.get());

@@ -30,18 +30,21 @@ namespace noc {
 class Arena
 {
   public:
-    /** @param chunk_bytes  granularity of the backing allocations. */
-    explicit Arena(std::size_t chunk_bytes = 64 * 1024)
-        : chunkBytes_(chunk_bytes)
-    {
-    }
+    /**
+     * @param chunk_bytes  size of each backing allocation. An owner that
+     * knows its total demand passes it here (plus the alignment of its
+     * type) and gets exactly one chunk with no slack.
+     */
+    explicit Arena(std::size_t chunk_bytes) : chunkBytes_(chunk_bytes) {}
 
     Arena(const Arena &) = delete;
     Arena &operator=(const Arena &) = delete;
 
     /**
-     * Allocate default-initialised storage for `n` objects of T.
-     * Oversized requests get a dedicated chunk; pointers never move.
+     * Allocate value-initialised storage for `n` objects of T (chunk
+     * memory itself is left uninitialised: only the objects handed out
+     * are ever written). A request that does not fit the current chunk
+     * gets a fresh one of at least its own size; pointers never move.
      */
     template <typename T>
     T *

@@ -161,7 +161,7 @@ class FaultController
                     const SimConfig &cfg, const Topology &topo);
 
     /** The network's event ring; must be set before the first cycle. */
-    void bindRing(EventRing *ring) { ring_ = ring; }
+    void bindRing(EventRing<LinkEvent> *ring) { ring_ = ring; }
 
     /**
      * Attach (or detach, nullptr) the invariant checker the waivers go
@@ -411,7 +411,7 @@ class FaultController
     Cycle retryTimeout_;
     Rng rng_;
 
-    EventRing *ring_ = nullptr;
+    EventRing<LinkEvent> *ring_ = nullptr;
     InvariantChecker *chk_ = nullptr;
 
     std::vector<LinkState> links_;

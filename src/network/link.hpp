@@ -9,6 +9,7 @@
 #define NOC_NETWORK_LINK_HPP
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/log.hpp"
@@ -44,17 +45,21 @@ struct LinkEvent
 };
 
 /**
- * Calendar queue over a bounded delay horizon. schedule() places events
- * at absolute cycles within `horizon` cycles of the present; eventsAt()
- * hands out (and recycles) the bucket for the current cycle.
+ * Calendar queue over a bounded delay horizon, generic in its payload.
+ * schedule() places events at absolute cycles within `horizon` cycles
+ * of the present; forEachAt() walks the bucket for the current cycle
+ * and releaseAt() recycles it. The serial network runs one ring of
+ * LinkEvents; each shard of the partitioned path runs one ring of its
+ * ordering-tagged events (network.cpp, ShardRuntime), with the same
+ * horizon.
  *
  * Storage is a single slot pool threaded into per-bucket FIFO lists.
- * Slots freed when a cycle's events are handed out go onto a free list
- * and are reused by later schedule() calls, so once the pool has grown
- * to the peak number of in-flight events the ring allocates nothing —
- * the old vector-of-vectors kept a separate high-water allocation per
- * bucket and re-grew after every quiet spell.
+ * Released slots go onto a free list and are reused by later
+ * schedule() calls, so once the pool has grown to the peak number of
+ * in-flight events the ring allocates nothing, and its memory is that
+ * peak (slots()) rather than a high-water allocation per bucket.
  */
+template <typename Payload>
 class EventRing
 {
   public:
@@ -64,59 +69,53 @@ class EventRing
     {
         NOC_ASSERT(horizon >= 1, "event horizon must be positive");
         pool_.reserve(head_.size() * 4);
-        scratch_.reserve(64);
     }
 
     /**
-     * Attach a telemetry sink: every flit placed on a wire emits a
-     * LinkTraverse event at its departure cycle, tagged with the
-     * destination router / input port and the wire delay in `arg`.
+     * Attach a telemetry sink (LinkEvent rings only): every flit placed
+     * on a wire emits a LinkTraverse event at its departure cycle,
+     * tagged with the destination router / input port and the wire
+     * delay in `arg`.
      */
     void setTelemetry(TelemetrySink *sink) { telem_ = sink; }
 
     void
-    schedule(Cycle now, Cycle when, LinkEvent event)
+    schedule(Cycle now, Cycle when, const Payload &event)
     {
         NOC_ASSERT(when > now, "events must be scheduled in the future");
         NOC_ASSERT(when - now < head_.size(),
                    "event beyond the ring horizon");
 #if NOC_TELEMETRY_ENABLED
-        if (telem_ && event.kind == LinkEvent::Kind::FlitToRouter) {
-            TelemetryEvent ev;
-            ev.cycle = now;
-            ev.router = event.router;
-            ev.port = static_cast<std::int16_t>(event.inPort);
-            ev.vc = static_cast<std::int8_t>(event.flit.vc);
-            ev.cls = TelemetryEventClass::LinkTraverse;
-            ev.arg = static_cast<std::uint8_t>(
-                when - now > 255 ? 255 : when - now);
-            telem_->record(ev);
+        if constexpr (std::is_same_v<Payload, LinkEvent>) {
+            if (telem_ && event.kind == LinkEvent::Kind::FlitToRouter) {
+                TelemetryEvent ev;
+                ev.cycle = now;
+                ev.router = event.router;
+                ev.port = static_cast<std::int16_t>(event.inPort);
+                ev.vc = static_cast<std::int8_t>(event.flit.vc);
+                ev.cls = TelemetryEventClass::LinkTraverse;
+                ev.arg = static_cast<std::uint8_t>(
+                    when - now > 255 ? 255 : when - now);
+                telem_->record(ev);
+            }
         }
 #endif
-        const std::int32_t slot = acquireSlot();
-        pool_[static_cast<std::size_t>(slot)].ev = std::move(event);
-        const std::size_t b = when % head_.size();
-        if (tail_[b] == kNil)
-            head_[b] = slot;
-        else
-            pool_[static_cast<std::size_t>(tail_[b])].next = slot;
-        tail_[b] = slot;
+        insertAt(when, event);
     }
 
     /**
-     * Place an event directly into cycle `when`'s bucket, bypassing the
-     * future-only assertion and telemetry of schedule(). Used once per
-     * run by the sharded stepping path (network.cpp, endSharded) to
-     * hand its pending calendars back to the serial ring — including
-     * events due exactly at `now`, which schedule() would reject. The
-     * caller guarantees `when` is within the horizon of the current
-     * cycle.
+     * Append an event to cycle `when`'s bucket, bypassing the
+     * future-only assertion and telemetry of schedule(). The sharded
+     * path uses it for boundary events drained at a window barrier and
+     * to hand its pending calendars back to the serial ring at the end
+     * of a run, which includes events due exactly at `now`. The caller
+     * guarantees `when` is within the horizon of the current cycle.
      */
     void
-    insertAt(Cycle when, LinkEvent event)
+    insertAt(Cycle when, const Payload &event)
     {
         const std::int32_t slot = acquireSlot();
-        pool_[static_cast<std::size_t>(slot)].ev = std::move(event);
+        pool_[static_cast<std::size_t>(slot)].ev = event;
         const std::size_t b = when % head_.size();
         if (tail_[b] == kNil)
             head_[b] = slot;
@@ -126,11 +125,12 @@ class EventRing
     }
 
     /**
-     * Zero-copy iteration over cycle `now`'s events in scheduling
-     * order, without consuming them; pair with releaseAt(now) once all
-     * passes are done. `fn` may call schedule() (events land at future
-     * cycles, never in this bucket), so iteration is index-based — the
-     * pool may grow mid-walk.
+     * Zero-copy iteration over cycle `now`'s events in insertion order,
+     * without consuming them; pair with releaseAt(now) once all passes
+     * are done. `fn` may call schedule() (events land at future cycles,
+     * never in this bucket), so iteration is index-based — the pool may
+     * grow mid-walk, and `fn` must not hold its argument across a
+     * schedule() call.
      */
     template <typename Fn>
     void
@@ -139,7 +139,7 @@ class EventRing
         const std::size_t b = now % head_.size();
         for (std::int32_t s = head_[b]; s != kNil;
              s = pool_[static_cast<std::size_t>(s)].next)
-            fn(static_cast<const LinkEvent &>(
+            fn(static_cast<const Payload &>(
                 pool_[static_cast<std::size_t>(s)].ev));
     }
 
@@ -158,33 +158,6 @@ class EventRing
         head_[b] = tail_[b] = kNil;
     }
 
-    /**
-     * Events for cycle `now`, in scheduling order; caller must process
-     * then clear() the vector. The underlying slots are recycled the
-     * moment the bucket is drained; the returned vector is scratch
-     * storage that stays stable for repeated calls at the same cycle.
-     */
-    std::vector<LinkEvent> &
-    eventsAt(Cycle now)
-    {
-        if (!scratchValid_ || scratchCycle_ != now) {
-            scratch_.clear();
-            const std::size_t b = now % head_.size();
-            for (std::int32_t s = head_[b]; s != kNil;) {
-                Slot &slot = pool_[static_cast<std::size_t>(s)];
-                scratch_.push_back(std::move(slot.ev));
-                const std::int32_t next = slot.next;
-                slot.next = freeHead_;
-                freeHead_ = s;
-                s = next;
-            }
-            head_[b] = tail_[b] = kNil;
-            scratchCycle_ = now;
-            scratchValid_ = true;
-        }
-        return scratch_;
-    }
-
     bool
     empty() const
     {
@@ -192,15 +165,25 @@ class EventRing
             if (h != kNil)
                 return false;
         }
-        return scratch_.empty();
+        return true;
     }
+
+    /** Buckets in the calendar: the horizon plus two cycles of slack. */
+    std::size_t buckets() const { return head_.size(); }
+
+    /**
+     * Slots in the pool: the peak number of events held at once since
+     * construction. A deterministic memory counter — it depends only on
+     * the sequence of inserts and releases, never on timing.
+     */
+    std::size_t slots() const { return pool_.size(); }
 
   private:
     static constexpr std::int32_t kNil = -1;
 
     struct Slot
     {
-        LinkEvent ev;
+        Payload ev;
         std::int32_t next = kNil;
     };
 
@@ -221,9 +204,6 @@ class EventRing
     std::vector<std::int32_t> head_;   ///< per-bucket FIFO head
     std::vector<std::int32_t> tail_;   ///< per-bucket FIFO tail
     std::int32_t freeHead_ = kNil;     ///< recycled-slot list
-    std::vector<LinkEvent> scratch_;   ///< drained bucket handed to caller
-    Cycle scratchCycle_ = 0;
-    bool scratchValid_ = false;
     TelemetrySink *telem_ = nullptr;
 };
 

@@ -99,8 +99,11 @@ class ShardRuntime
 
     struct PerShard
     {
-        /// Calendar of pending local deliveries, indexed when % size.
-        std::vector<std::vector<Event>> buckets;
+        explicit PerShard(int horizon) : calendar(horizon) {}
+
+        /// Pending local deliveries; the serial ring's horizon, so every
+        /// schedulable delta fits.
+        EventRing<Event> calendar;
         /// Outgoing boundary events; drained by the main thread at the
         /// window barrier.
         std::unique_ptr<SpscQueue<Msg>> out;
@@ -115,7 +118,6 @@ class ShardRuntime
     };
 
     ShardPlan plan;
-    std::size_t horizon = 1;  ///< calendar size, mirrors the event ring
     bool staging = false;
     Cycle stageCycle = 0;
     /// unique_ptr per shard: stable addresses, no false sharing between
@@ -552,6 +554,15 @@ Network::setProfiler(PhaseProfiler *prof)
 #endif
 }
 
+std::uint64_t
+Network::arenaBytes() const
+{
+    std::uint64_t total = 0;
+    for (const auto &router : routers_)
+        total += router->arenaBytes();
+    return total;
+}
+
 void
 Network::drainCompleted(std::vector<CompletedPacket> &out)
 {
@@ -646,13 +657,9 @@ Network::beginSharded(const ShardPlan &plan)
 
     shard_ = std::make_unique<ShardRuntime>();
     shard_->plan = plan;
-    // Mirror the serial ring's bucket count so every schedulable delta
-    // fits; the +2 matches EventRing's own slack.
-    shard_->horizon = static_cast<std::size_t>(eventHorizon(cfg_)) + 2;
 
     for (int s = 0; s < plan.numShards; ++s) {
-        auto sh = std::make_unique<ShardRuntime::PerShard>();
-        sh->buckets.resize(shard_->horizon);
+        auto sh = std::make_unique<ShardRuntime::PerShard>(eventHorizon(cfg_));
 
         // Queue capacity from the boundary cut: per cycle, each
         // cross-shard drop delivers at most one flit, and each
@@ -754,18 +761,15 @@ Network::shardStepCycle(int s, Cycle c)
 
     // Phase 1: arrivals. Credits land before flits (same pass split as
     // step()); flits replay in the serial event order.
-    auto &bucket = sh.buckets[c % shard_->horizon];
-    for (const ShardRuntime::Event &se : bucket) {
+    sh.flitScratch.clear();
+    sh.calendar.forEachAt(c, [&](const ShardRuntime::Event &se) {
         if (se.ev.kind == LinkEvent::Kind::CreditToRouter ||
             se.ev.kind == LinkEvent::Kind::CreditToNi)
             shardDispatch(s, c, se.ev);
-    }
-    sh.flitScratch.clear();
-    for (const ShardRuntime::Event &se : bucket) {
-        if (se.ev.kind == LinkEvent::Kind::FlitToRouter ||
-            se.ev.kind == LinkEvent::Kind::FlitToNi)
+        else
             sh.flitScratch.push_back(se);
-    }
+    });
+    sh.calendar.releaseAt(c);
     std::stable_sort(
         sh.flitScratch.begin(), sh.flitScratch.end(),
         [](const ShardRuntime::Event &a, const ShardRuntime::Event &b) {
@@ -774,7 +778,6 @@ Network::shardStepCycle(int s, Cycle c)
         });
     for (const ShardRuntime::Event &se : sh.flitScratch)
         shardDispatch(s, c, se.ev);
-    bucket.clear();
 
     // Phase 2: NI injection (rank = node id, matching serial NI order).
     for (NodeId n = plan.nodeBegin[s]; n < plan.nodeEnd[s]; ++n) {
@@ -925,17 +928,13 @@ Network::shardSchedule(int s, Cycle now, Cycle when, const LinkEvent &ev,
     // *ToNi events always stay local: terminal channels connect a
     // router to its own nodes, and nodes live with their router.
 
+    ShardRuntime::PerShard &sh =
+        *shard_->shards[static_cast<std::size_t>(s)];
     const ShardRuntime::Event se{ev, now, rank};
-    if (target == s) {
-        NOC_ASSERT(when > now && when - now < shard_->horizon,
-                   "sharded event beyond the calendar horizon");
-        shard_->shards[static_cast<std::size_t>(s)]
-            ->buckets[when % shard_->horizon]
-            .push_back(se);
-    } else {
-        shard_->shards[static_cast<std::size_t>(s)]->out->push(
-            {se, when});
-    }
+    if (target == s)
+        sh.calendar.schedule(now, when, se);
+    else
+        sh.out->push({se, when});
 }
 
 void
@@ -945,14 +944,14 @@ Network::shardDrainQueues(Cycle up_to)
     for (int s = 0; s < plan.numShards; ++s) {
         ShardRuntime::Msg m;
         while (shard_->shards[static_cast<std::size_t>(s)]->out->pop(m)) {
-            NOC_ASSERT(m.when >= up_to &&
-                           m.when - up_to < shard_->horizon,
-                       "cross-shard event outside the lookahead bound");
             const int target = plan.shardOfRouter[static_cast<std::size_t>(
                 m.se.ev.router)];
-            shard_->shards[static_cast<std::size_t>(target)]
-                ->buckets[m.when % shard_->horizon]
-                .push_back(m.se);
+            EventRing<ShardRuntime::Event> &calendar =
+                shard_->shards[static_cast<std::size_t>(target)]->calendar;
+            NOC_ASSERT(m.when >= up_to &&
+                           m.when - up_to < calendar.buckets(),
+                       "cross-shard event outside the lookahead bound");
+            calendar.insertAt(m.when, m.se);
         }
     }
 }
@@ -998,23 +997,19 @@ Network::endSharded()
     // order a serial run would hold it: per cycle, credits first (the
     // serial loop dispatches them in a separate pass anyway and they
     // commute), then flits by (creation cycle, creator rank).
-    const ShardPlan &plan = shard_->plan;
     std::vector<ShardRuntime::Event> flits;
-    for (std::size_t off = 0; off < shard_->horizon; ++off) {
+    for (std::size_t off = 0; off < ring_.buckets(); ++off) {
         const Cycle t = now_ + off;
-        const std::size_t b = t % shard_->horizon;
         flits.clear();
-        for (int s = 0; s < plan.numShards; ++s) {
-            auto &bucket =
-                shard_->shards[static_cast<std::size_t>(s)]->buckets[b];
-            for (const ShardRuntime::Event &se : bucket) {
+        for (auto &sh : shard_->shards) {
+            sh->calendar.forEachAt(t, [&](const ShardRuntime::Event &se) {
                 if (se.ev.kind == LinkEvent::Kind::CreditToRouter ||
                     se.ev.kind == LinkEvent::Kind::CreditToNi)
                     ring_.insertAt(t, se.ev);
                 else
                     flits.push_back(se);
-            }
-            bucket.clear();
+            });
+            sh->calendar.releaseAt(t);
         }
         std::stable_sort(
             flits.begin(), flits.end(),
@@ -1026,6 +1021,9 @@ Network::endSharded()
         for (const ShardRuntime::Event &se : flits)
             ring_.insertAt(t, se.ev);
     }
+
+    for (const auto &sh : shard_->shards)
+        shardCalendarSlots_ += sh->calendar.slots();
 
     if (verifier_)
         verifier_->setConcurrent(false);

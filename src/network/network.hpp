@@ -69,6 +69,19 @@ class Network
     std::uint64_t routerSteps() const { return routerSteps_; }
 
     /**
+     * Peak event slots held by the calendars: the serial ring's pool
+     * plus, once a sharded run has ended, every shard calendar's pool.
+     * Deterministic — slot reuse depends only on the event sequence.
+     */
+    std::uint64_t calendarSlots() const
+    {
+        return ring_.slots() + shardCalendarSlots_;
+    }
+
+    /** Router flit storage: the sum over routers of arenaBytes(). */
+    std::uint64_t arenaBytes() const;
+
+    /**
      * Forward-progress watchdog: cycles since a flit last moved
      * anywhere in the network. With packets outstanding, a large value
      * indicates deadlock/livelock (which the scheme set here should
@@ -235,13 +248,14 @@ class Network
     std::unique_ptr<RoutingAlgorithm> routing_;
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<NetworkInterface>> nis_;
-    EventRing ring_;
+    EventRing<LinkEvent> ring_;
     std::vector<LinkEvent> faultPending_;  ///< scratch: released stall holds
     std::vector<TeardownRequest> teardownScratch_;  ///< scratch: churn epochs
     Cycle now_ = 0;
     std::uint64_t outstanding_ = 0;
     Cycle lastProgress_ = 0;
     std::uint64_t routerSteps_ = 0;
+    std::uint64_t shardCalendarSlots_ = 0;  ///< folded in at endSharded
     InvariantChecker *verifier_ = nullptr;
     PhaseProfiler *prof_ = nullptr;
     std::unique_ptr<ShardRuntime> shard_;  ///< non-null in sharded mode

@@ -20,9 +20,17 @@ chooseOps(const SimConfig &cfg, const RoutingAlgorithm &routing)
     return ops != nullptr ? *ops : routerOpsFor<GenericPolicy>();
 }
 
-/** Every VC set, port set and crossbar-use set of a router is one
- *  uint64 mask word. */
-constexpr int kMaxMaskBits = 64;
+/** Exact flit-storage demand of router `id`: one [vc][slot] block per
+ *  input port, plus the alignment slack of the single arena chunk. */
+std::size_t
+flitStorageBytes(const SimConfig &cfg, const Topology &topo, RouterId id)
+{
+    return static_cast<std::size_t>(topo.numInputPorts(id)) *
+               static_cast<std::size_t>(cfg.numVcs) *
+               static_cast<std::size_t>(cfg.bufferDepth) *
+               sizeof(BufferedFlit) +
+           alignof(BufferedFlit);
+}
 
 void
 checkMaskLimit(RouterId id, const char *what, int count)
@@ -40,6 +48,7 @@ Router::Router(const SimConfig &cfg, const Topology &topo,
                const RoutingAlgorithm &routing, RouterId id)
     : cfg_(cfg), topo_(topo), routing_(routing), id_(id),
       ops_(&chooseOps(cfg, routing)),
+      arena_(flitStorageBytes(cfg, topo, id)),
       pc_(topo.numInputPorts(id), topo.numOutputPorts(id),
           cfg.pcHistoryDepth),
       va_(cfg.vaPolicy),

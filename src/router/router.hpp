@@ -57,6 +57,11 @@
 
 namespace noc {
 
+/** Every VC set, port set and crossbar-use set of a router is one
+ *  uint64 mask word, so a router holds at most this many VCs per port,
+ *  input ports and output ports. */
+inline constexpr int kMaxMaskBits = 64;
+
 class Topology;
 class RoutingAlgorithm;
 class InvariantChecker;
@@ -340,8 +345,8 @@ class Router
     const RouterOps *ops_;
 
     /// Backs every VC's flit-slot storage (one contiguous
-    /// [port][vc][slot] block); must outlive inputs_, hence declared
-    /// before it.
+    /// [port][vc][slot] block in a single chunk sized exactly at
+    /// construction); must outlive inputs_, hence declared before it.
     Arena arena_;
 
     std::vector<InputPort> inputs_;

@@ -236,6 +236,8 @@ Simulator::assembleResult(const RouterStats &before, RunHealth &&health)
     SimResult result;
     result.cyclesRun = net_.now();
     result.routerSteps = net_.routerSteps();
+    result.calendarSlots = net_.calendarSlots();
+    result.arenaBytes = net_.arenaBytes();
     result.drained = net_.idle() && source_->exhausted();
     result.measuredPackets = totalLatency_.count();
     result.avgTotalLatency = totalLatency_.mean();

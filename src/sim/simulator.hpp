@@ -165,6 +165,12 @@ struct SimResult
     /// kernel, fewer on the specialized kernels, whose dormant routers
     /// are skipped. A work counter like shardsUsed: never serialized.
     std::uint64_t routerSteps = 0;
+
+    /// Memory counters, deterministic and never serialized: the peak
+    /// event slots of the serial ring plus every shard calendar, and
+    /// the bytes of router flit storage (Network::arenaBytes()).
+    std::uint64_t calendarSlots = 0;
+    std::uint64_t arenaBytes = 0;
 };
 
 class Simulator

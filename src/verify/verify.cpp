@@ -1,6 +1,7 @@
 #include "verify/verify.hpp"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 
 #include "common/log.hpp"
@@ -627,9 +628,8 @@ InvariantChecker::scanRouterState(Cycle now)
         // Pseudo-circuit registers.
         if (on(Invariant::Circuits) && has_pc) {
             const PseudoCircuitUnit &pc = router.pcUnit();
-            std::vector<int> holders(
-                static_cast<std::size_t>(router.numOutputPorts()),
-                kInvalidPort);
+            std::array<PortId, kMaxMaskBits> holders;
+            holders.fill(kInvalidPort);
             for (PortId in = 0; in < router.numInputPorts(); ++in) {
                 const PseudoCircuitUnit::Register &reg = pc.at(in);
                 if (!reg.valid)

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "network/network.hpp"
 #include "router/router.hpp"
 #include "routing/routing.hpp"
 #include "topology/mesh.hpp"
@@ -508,6 +509,57 @@ TEST(RouterLimits, SixtyFourOfEachBuilds)
     EXPECT_EQ(out_wide.numOutputPorts(), 64);
     EXPECT_EQ(in_wide.numInputPorts(), 64);
     EXPECT_EQ(in_wide.numVcs(), 64);
+}
+
+/** Every router's flit storage is one exactly sized arena chunk. */
+void
+expectExactArenas(TopologyKind kind, Scheme scheme)
+{
+    SimConfig cfg;
+    cfg.topology = kind;
+    cfg.meshWidth = 4;
+    cfg.meshHeight = 4;
+    cfg.concentration = kind == TopologyKind::Mesh ? 1 : 4;
+    cfg.scheme = scheme;
+    const Network net(cfg);
+    std::uint64_t total = 0;
+    for (RouterId r = 0; r < net.numRouters(); ++r) {
+        const Router &router = net.router(r);
+        const std::uint64_t demand =
+            static_cast<std::uint64_t>(router.numInputPorts()) *
+            static_cast<std::uint64_t>(cfg.numVcs) *
+            static_cast<std::uint64_t>(cfg.bufferDepth) *
+            sizeof(BufferedFlit);
+        EXPECT_EQ(router.arenaChunks(), 1u) << "router " << r;
+        EXPECT_EQ(router.arenaBytes(), demand) << "router " << r;
+        total += demand;
+    }
+    EXPECT_EQ(net.arenaBytes(), total);
+}
+
+TEST(RouterArena, MeshIsExactlySized)
+{
+    expectExactArenas(TopologyKind::Mesh, Scheme::PseudoSB);
+}
+
+TEST(RouterArena, CMeshIsExactlySized)
+{
+    expectExactArenas(TopologyKind::CMesh, Scheme::PseudoSB);
+}
+
+TEST(RouterArena, MecsIsExactlySized)
+{
+    expectExactArenas(TopologyKind::Mecs, Scheme::PseudoSB);
+}
+
+TEST(RouterArena, FlatFlyIsExactlySized)
+{
+    expectExactArenas(TopologyKind::FlatFly, Scheme::PseudoSB);
+}
+
+TEST(RouterArena, EvcOnCMeshIsExactlySized)
+{
+    expectExactArenas(TopologyKind::CMesh, Scheme::Evc);
 }
 
 } // namespace

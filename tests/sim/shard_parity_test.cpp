@@ -150,6 +150,9 @@ expectShardParity(SimConfig cfg, int shards,
     EXPECT_EQ(r.niTotals.packetsReceived, f.niTotals.packetsReceived);
     // Dormancy is per-router state, so both paths skip the same steps.
     EXPECT_EQ(r.routerSteps, f.routerSteps);
+    // Router flit storage does not depend on the stepping path.
+    EXPECT_GT(f.arenaBytes, 0u);
+    EXPECT_EQ(r.arenaBytes, f.arenaBytes);
 
     // The serialized JSONL rows must be byte-identical too: shards is
     // execution provenance, never part of the result schema.
@@ -168,6 +171,24 @@ TEST(ShardParity, MeshEverySchemeEveryShardCount)
             expectShardParity(meshConfig(8, 8, s), shards);
         }
     }
+}
+
+TEST(ShardParity, CalendarSlotsRepeatExactly)
+{
+    // Each shard calendar is touched only by its own thread within a
+    // window and by the main thread at the barrier, so its peak slot
+    // count is a function of the event sequence, never of thread
+    // timing: two repeats of a 4-shard run agree exactly.
+    SimConfig cfg = meshConfig(8, 8, Scheme::PseudoSB);
+    cfg.shards = 4;
+    const OracleOutcome first = runChecked(
+        cfg, SyntheticPattern::UniformRandom, 0.08, 5, shortWindows());
+    const OracleOutcome second = runChecked(
+        cfg, SyntheticPattern::UniformRandom, 0.08, 5, shortWindows());
+    ASSERT_EQ(first.result.shardsUsed, 4);
+    ASSERT_EQ(second.result.shardsUsed, 4);
+    EXPECT_GT(first.result.calendarSlots, 0u);
+    EXPECT_EQ(first.result.calendarSlots, second.result.calendarSlots);
 }
 
 TEST(ShardParity, TorusEveryScheme)
